@@ -187,6 +187,8 @@ def _cmd_train(args):
         raise _CliError(EXIT_USAGE, f"--nh must be >= 1, got {args.nh}")
     if data.shape[0] < 10:
         raise _CliError(EXIT_USAGE, f"need at least 10 samples, got {data.shape[0]}")
+    if args.population is not None and args.population < 4:
+        raise _CliError(EXIT_USAGE, f"--population must be >= 4, got {args.population}")
     config = train.TrainConfig(
         sigma0=args.sigma0,
         max_evals=args.max_evals,
@@ -207,6 +209,7 @@ def _cmd_train(args):
             "seed": args.seed,
             "nll": result.nll_refined,
             "evaluations": result.evaluations,
+            "restart_nlls": result.restart_nlls,
         },
     )
     print(f"final NLL: {result.nll_refined:.6f} ({result.evaluations} evaluations)")
@@ -280,6 +283,10 @@ def _cmd_transform(args):
 
 
 def _cmd_validate(args):
+    if args.samples < 1:
+        raise _CliError(EXIT_USAGE, f"--samples must be >= 1, got {args.samples}")
+    if args.bins < 1:
+        raise _CliError(EXIT_USAGE, f"--bins must be >= 1, got {args.bins}")
     m, _ = load_model(args.model)
     data = load_data(args.data)
     if data.shape[1] != m.nv:

@@ -5,11 +5,13 @@ basis vectors; for a quadratic form Omega = L L^T the relevant lattice is
 generated by the rows of the Cholesky factor L.  The module provides
 
   * LLL basis reduction (delta = 0.75 by default),
-  * a shortest-vector length estimate from the reduced basis, and
+  * the exact shortest-vector length, scanned from the reduced basis, and
   * exhaustive enumeration of integer points inside an ellipsoid
     (n - c)^T Omega (n - c) <= R^2 by recursive one-dimensional sections.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,15 +83,35 @@ def lll_reduce(basis, delta=LLL_DELTA):
     return b
 
 
-def shortest_vector_estimate(basis, delta=LLL_DELTA):
-    """Length of the shortest vector in an LLL-reduced basis.
+@functools.lru_cache(maxsize=256)
+def _coefficient_box(half):
+    """Integer vectors c != 0 with |c_i| <= half[i], one of each pair +-c.
 
-    This upper-bounds the true lattice minimum and is within the standard
-    LLL approximation factor of it, which is sufficient to drive the theta
-    tail bound at the dimensions used here.
+    Rows come in lexicographic order, so the first half of the box holds
+    exactly one of c and -c for every c != 0 and stops before the origin.
+    """
+    half = np.array(half, dtype=np.int64)
+    box = np.indices(2 * half + 1).reshape(half.size, -1).T - half
+    return box[: box.shape[0] // 2].astype(float)
+
+
+def shortest_vector_estimate(basis, delta=LLL_DELTA):
+    """Exact length lambda_1 of the shortest nonzero lattice vector.
+
+    The theta tail bound counts lattice points with balls of radius
+    rho/2, so it needs rho <= lambda_1; the shortest row of an LLL-reduced
+    basis only bounds lambda_1 from above.  That row length rho_LLL limits
+    the search: a vector v = c B with |v| <= rho_LLL has coefficients
+    |c_i| = |v . (B^{-1})_{:, i}| <= rho_LLL |(B^{-1})_{:, i}|, and in a
+    reduced basis this box is a few integers wide, so it is scanned whole.
     """
     reduced = lll_reduce(basis, delta)
-    return float(np.min(np.linalg.norm(reduced, axis=1)))
+    gram = reduced @ reduced.T
+    rho_sq = float(gram.diagonal().min())
+    # |(B^{-1})_{:, i}|^2 is the i-th diagonal entry of gram^{-1}
+    half = np.sqrt(rho_sq * np.linalg.inv(gram).diagonal()) * (1.0 + 1e-9)
+    box = _coefficient_box(tuple(half.astype(np.int64).tolist()))
+    return math.sqrt(float(((box @ gram) * box).sum(axis=1).min(initial=rho_sq)))
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,34 @@ Scaling convention.  Values are returned as (log_magnitude, phase); the
 certified ``tail_bound`` is the absolute error of the *reduced* sum, i.e.
 of theta_tilde scaled by exp(-max real exponent).  For real z the reduced
 sum is >= 1, so the bound is also a relative error bound on the value.
+
+Dual form.  Poisson summation (Jacobi's imaginary transformation) gives,
+for real x,
+
+    theta_tilde(x | Omega) = (2 pi)^{g/2} det(Omega)^{-1/2}
+                             * exp(1/2 x^T Omega^{-1} x)
+                             * sum_{k in Z^g} exp(-2 pi^2 k^T Omega^{-1} k)
+                                              cos(2 pi k^T Omega^{-1} x).
+
+The dual weights are the Gaussian terms of the form A = 4 pi^2 Omega^{-1}
+centered at the origin, so one k-set serves every argument with no shift
+or enlargement.  Point counts scale as sqrt(det Omega) / (2 pi)^g against
+1 / sqrt(det Omega) for the primal sum, so ``theta_tilde_batch`` uses the
+dual for real arguments when log det Omega < g log(2 pi).  Certificate: the
+k-set is the ellipsoid of A at the radius where the tail bound above, with
+rho the shortest vector of the A-lattice, is tail <= eps/2.  With
+``others`` the enumerated k != 0 weights plus that tail, the dual sum is at
+least 1 - others; the form is used only when others <= 1/2, and the
+returned bound tail / (1 - others) <= eps is then a relative error bound,
+as for the primal sum at real z.  Otherwise the primal sum runs.  The
+point sets behind moments and sampling (``_theta_sum``) stay primal.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 
 from . import lattice
@@ -47,6 +69,8 @@ from .numerics import as_sym, cholesky, solve_spd
 
 #: Default requested tail error for theta evaluations.
 DEFAULT_EPS = 1e-12
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -133,10 +157,10 @@ def log_tail_bound(g, rho, radius):
 def radius_for_epsilon(omega, epsilon, rho):
     """Smallest radius whose certified tail bound is below ``epsilon``.
 
-    ``rho`` must be the shortest-vector estimate of the lattice spanned by
-    the rows of the Cholesky factor of omega.  The result is monotone
-    non-increasing in epsilon and never increases when the lattice gets
-    coarser (e.g. omega -> 4 omega).
+    ``rho`` must be a lower bound on the shortest nonzero vector of the
+    lattice spanned by the rows of the Cholesky factor of omega.  The
+    result is monotone non-increasing in epsilon and never increases when
+    the lattice gets coarser (e.g. omega -> 4 omega).
     """
     omega = as_sym(omega, "omega")
     if epsilon <= 0.0:
@@ -146,7 +170,7 @@ def radius_for_epsilon(omega, epsilon, rho):
 
 
 def _lattice_rho(omega):
-    """Shortest-vector estimate for the Cholesky-factor lattice of omega."""
+    """Shortest nonzero vector length of the Cholesky-factor lattice of omega."""
     low = cholesky(omega, "omega")
     return lattice.shortest_vector_estimate(low)
 
@@ -261,13 +285,66 @@ def _cube_radius(omega):
     return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, omega, corners))))
 
 
+def _dual_batch(xs, omega, eps, budget, chunk):
+    """Poisson-dual theta_tilde_batch for real arguments, or None.
+
+    None means the dual form does not apply: det Omega >= (2 pi)^g, or the
+    dual sum's k != 0 mass (enumerated weights plus certified tail) exceeds
+    1/2, or the dual ellipsoid passes ``budget``.  Otherwise returns the
+    (log_magnitude, phase, tail_bound) arrays, with the tail bound a
+    relative error below ``eps`` (see the module docstring).
+    """
+    g = omega.shape[0]
+    low = cholesky(omega, "omega")
+    log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
+    if log_det >= g * _LOG_2PI:
+        return None
+    low_inv = scipy.linalg.solve_triangular(low, np.eye(g), lower=True)
+    omega_inv = low_inv.T @ low_inv
+    # Dual form A = 4 pi^2 Omega^{-1}; the rows of 2 pi L^{-T} span its lattice.
+    rho = lattice.shortest_vector_estimate(2.0 * math.pi * low_inv.T)
+    if 2.0 * math.exp(-0.5 * rho * rho) > 0.5:
+        return None  # the pair +-k of shortest dual vectors alone breaks the guard
+    bound = _TailBound(g, rho)
+    radius = bound.solve_radius(math.log(0.5 * eps))
+    tail = math.exp(bound.log_bound(radius))
+    try:
+        ks = lattice.enumerate_ellipsoid(
+            4.0 * math.pi**2 * omega_inv, np.zeros(g), radius, budget=budget
+        ).points
+    except PointBudgetExceeded:
+        return None
+    # One k of each pair +-k (first nonzero coordinate positive); the cosine
+    # is even in k, so the pair contributes twice the kept term.
+    lead = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
+    half = ks[lead > 0].astype(float)
+    quad = np.einsum("ij,jk,ik->i", half, omega_inv, half)
+    weights = 2.0 * np.exp(-2.0 * math.pi**2 * quad)
+    others = float(np.sum(weights)) + tail
+    if others > 0.5:
+        return None
+
+    ys = xs @ omega_inv
+    log_mag = 0.5 * (g * _LOG_2PI - log_det) + 0.5 * np.einsum("ij,ij->i", xs, ys)
+    chunk = max(1, min(chunk, int(4e6 // max(half.shape[0], 1))))  # cap scratch memory
+    for start in range(0, xs.shape[0], chunk):
+        end = min(start + chunk, xs.shape[0])
+        cosines = np.cos((2.0 * math.pi * ys[start:end]) @ half.T)
+        log_mag[start:end] += np.log1p(cosines @ weights)
+    n = xs.shape[0]
+    return log_mag, np.zeros(n), np.full(n, tail / (1.0 - others))
+
+
 def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, chunk=512):
     """theta_tilde for a batch of arguments sharing one Omega.
 
-    Enumerates one base point set around the origin, enlarged by the
-    half-unit-cube radius, and shifts it by the rounded ellipsoid center of
-    every argument; the certified tail bound of each evaluation is below
-    ``eps``.  Returns (log_magnitude, phase, tail_bound) arrays.
+    For real arguments with det Omega < (2 pi)^g, sums the Poisson-dual
+    series over one dual point set (see the module docstring) when its
+    guard holds.  Otherwise enumerates one base point set around the
+    origin, enlarged by the half-unit-cube radius, and shifts it by the
+    rounded ellipsoid center of every argument.  The certified tail bound
+    of each evaluation is below ``eps``.  Returns (log_magnitude, phase,
+    tail_bound) arrays.
     """
     omega = as_sym(omega, "omega")
     g = omega.shape[0]
@@ -278,6 +355,10 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
         raise ValueError(f"epsilon must be positive, got {eps}")
     xs, ys = zs.real, zs.imag
     complex_args = bool(np.any(ys))
+    if not complex_args:
+        dual = _dual_batch(xs, omega, eps, budget, chunk)
+        if dual is not None:
+            return dual
 
     rho = _lattice_rho(omega)
     centers = solve_spd(omega, xs.T, "omega").T

@@ -154,6 +154,7 @@ class FitResult:
     converged: bool
     trace: list = field(repr=False)
     seed: int = 0
+    restart_nlls: list = field(default_factory=list)
 
 
 def cma_es_minimize(objective, x0, config=None):
@@ -288,26 +289,23 @@ def _log_ball_volume(g):
 
 
 def _too_many_points(m, eps=TRAIN_EPS, budget=TRAIN_POINT_BUDGET):
-    """Cheap point-count estimate of the candidate's theta ellipsoids.
+    """Cheap point-count estimate of the candidate's hidden-normalizer ellipsoid.
 
-    A candidate whose hidden normalizer or visible numerator would need more
-    than ``budget`` lattice points is a hopeless fit; skipping it keeps the
-    optimizer from spending seconds enumerating a doomed model.
+    A candidate whose hidden normalizer would need more than ``budget``
+    lattice points is a hopeless fit; skipping it keeps the optimizer from
+    spending seconds enumerating a doomed model.  The primal ellipsoid of the
+    visible numerator, over Q, never has a larger estimate: S = Q - W^T T^{-1} W
+    <= Q gives S_ii <= Q_ii, hence a smaller rho bound and a larger radius for
+    S, and det S <= det Q.
     """
     g = m.nh
-    t_inv_w = solve_spd(m.t, m.w)
-    s = m.q - m.w.T @ t_inv_w
-    for omega in (0.5 * (s + s.T), 0.5 * (m.q + m.q.T)):
-        low = cholesky(omega)
-        rho_ub = float(np.min(np.linalg.norm(low, axis=1)))
-        radius = theta._TailBound(g, rho_ub).solve_radius(math.log(eps))
-        log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
-        log_count = (
-            _log_ball_volume(g) + g * math.log(radius + 1.0) - 0.5 * log_det
-        )
-        if log_count > math.log(budget):
-            return True
-    return False
+    s = m.q - m.w.T @ solve_spd(m.t, m.w)
+    low = cholesky(0.5 * (s + s.T))
+    rho_ub = float(np.min(np.linalg.norm(low, axis=1)))
+    radius = theta._TailBound(g, rho_ub).solve_radius(math.log(eps))
+    log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
+    log_count = _log_ball_volume(g) + g * math.log(radius + 1.0) - 0.5 * log_det
+    return log_count > math.log(budget)
 
 
 def fit(data, nh, config=None):
@@ -316,7 +314,9 @@ def fit(data, nh, config=None):
     Runs CMA-ES from a data-driven start, once per restart with fresh seeds,
     and keeps the lowest negative log likelihood.  The search scores at the
     relaxed TRAIN_EPS; the reported ``nll_refined`` re-scores the winning
-    model at the strict default epsilon.
+    model at the strict default epsilon.  ``restart_nlls`` holds each
+    restart's best search NLL in seed order, so a stalled restart shows
+    against the others.
     """
     config = config or TrainConfig()
     data = np.asarray(data, dtype=float)
@@ -341,12 +341,14 @@ def fit(data, nh, config=None):
 
     best = None
     total_evals = 0
+    restart_nlls = []
     for r in range(max(1, config.restarts)):
         seed_r = config.seed + r
         rng = np.random.default_rng(seed_r)
         x0 = _initial_vector(data, nv, nh, rng)
         res = cma_es_minimize(objective, x0, dataclasses.replace(config, seed=seed_r))
         total_evals += res.evaluations
+        restart_nlls.append(res.best_f)
         if best is None or res.best_f < best[0].best_f:
             best = (res, seed_r)
 
@@ -362,4 +364,5 @@ def fit(data, nh, config=None):
         converged=res.converged,
         trace=res.trace,
         seed=seed_r,
+        restart_nlls=restart_nlls,
     )

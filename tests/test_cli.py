@@ -98,9 +98,25 @@ class TestTrainCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["format_version"] == 1
-        assert set(doc["metadata"]) == {"seed", "nll", "evaluations"}
+        assert set(doc["metadata"]) == {"seed", "nll", "evaluations", "restart_nlls"}
         assert np.isfinite(doc["metadata"]["nll"])
         load_model(str(out))
+
+    def test_restart_nlls_in_metadata(self, tmp_path, data_path):
+        out = tmp_path / "fit.json"
+        rc = main(["train", "--data", data_path, "--nh", "1", "--out", str(out),
+                   "--seed", "3", "--max-evals", "200", "--restarts", "2"])
+        assert rc == 0
+        nlls = json.loads(out.read_text())["metadata"]["restart_nlls"]
+        assert len(nlls) == 2 and all(np.isfinite(nlls))
+
+    @pytest.mark.parametrize("flags", [["--population", "2"], ["--population", "0"]])
+    def test_bad_optimizer_flags_exit_2(self, tmp_path, data_path, flags):
+        out = tmp_path / "fit.json"
+        rc = main(["train", "--data", data_path, "--nh", "1", "--out", str(out),
+                   "--max-evals", "100", *flags])
+        assert rc == 2
+        assert not out.exists()
 
     def test_deterministic_given_seed(self, tmp_path, data_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -199,6 +215,15 @@ class TestValidateCommand:
                     "mse_pdf_rtbm", "ks", "moments"):
             assert key in rep
         assert rep["ks"] < 0.02
+
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"],
+                                       ["--bins", "0"]])
+    def test_bad_counts_exit_2(self, tmp_path, model_path, data_path, flags):
+        out = tmp_path / "r.json"
+        rc = main(["validate", "--model", model_path, "--data", data_path,
+                   "--out", str(out), *flags])
+        assert rc == 2
+        assert not out.exists()
 
     def test_missing_data_exit_2(self, tmp_path, model_path):
         rc = main(["validate", "--model", model_path, "--data", str(tmp_path / "no.csv"),

@@ -120,6 +120,33 @@ class TestShortestVectorEstimate:
             assert est <= 2.0 ** ((2 - 1) / 2) * true_min + 1e-9  # LLL factor, g=2
 
 
+    def test_exact_where_lll_row_is_not_shortest(self):
+        # The shortest row of the LLL-reduced Cholesky basis has length
+        # 1.9987, but n = (0, -1, -1) gives sqrt(n^T Omega n) = 1.8598; the
+        # theta tail bound needs the latter (a lower bound on lambda_1).
+        omega = np.array([
+            [4.979636, -1.093806, 2.033744],
+            [-1.093806, 4.457523, -2.496789],
+            [2.033744, -2.496789, 3.99488],
+        ])
+        n = np.array([0.0, -1.0, -1.0])
+        est = lattice.shortest_vector_estimate(np.linalg.cholesky(omega))
+        npt.assert_allclose(est, np.sqrt(n @ omega @ n), rtol=1e-12)
+
+    def test_exact_on_random_forms(self):
+        rng = np.random.default_rng(4)
+        r = np.arange(-6, 7)
+        for g in (1, 2, 3, 4):
+            coeffs = np.stack(np.meshgrid(*[r] * g), axis=-1).reshape(-1, g)
+            coeffs = coeffs[np.any(coeffs != 0, axis=1)]
+            for _ in range(100):
+                a = rng.normal(size=(g, g))
+                omega = a @ a.T + 0.1 * np.eye(g)
+                est = lattice.shortest_vector_estimate(np.linalg.cholesky(omega))
+                true_min = np.sqrt(np.min(np.einsum("ij,jk,ik->i", coeffs, omega, coeffs)))
+                npt.assert_allclose(est, true_min, rtol=1e-12)
+
+
 class TestEnumerateEllipsoid:
     def test_one_dim_interval(self):
         out = lattice.enumerate_ellipsoid([[1.0]], [0.0], 3.5)

@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtbm import theta
+from rtbm import lattice, theta
 from rtbm.errors import NotPositiveDefinite
 
 from conftest import brute_force_theta, brute_force_theta_moments, random_pd_matrix
@@ -226,3 +228,87 @@ class TestThetaBatch:
         a = theta.theta_tilde_batch(zs, omega, chunk=7)[0]
         b = theta.theta_tilde_batch(zs, omega, chunk=100)[0]
         npt.assert_allclose(a, b, rtol=1e-13)
+
+
+@st.composite
+def ill_conditioned_forms(draw):
+    """(g, Omega): eigenvalues from lam_min in [0.3, 3] up to lam_min * cond,
+    cond in [1, 1e3], in a random orientation; det Omega falls on both sides
+    of (2 pi)^g."""
+    g = draw(st.integers(1, 3))
+    lam_min = draw(st.floats(0.3, 3.0))
+    cond = draw(st.floats(1.0, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = np.sort(rng.uniform(0.0, 1.0, g))
+    spread[0], spread[-1] = 0.0, 1.0 if g > 1 else spread[-1]
+    lam = lam_min * cond**spread
+    rot, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    omega = rot @ np.diag(lam) @ rot.T
+    return g, 0.5 * (omega + omega.T), rng
+
+
+def _box_reference(x, omega):
+    """brute_force_theta with a box wide enough for 1e-10 at this Omega."""
+    lam_min = np.linalg.eigvalsh(omega)[0]
+    center = np.linalg.solve(omega, x)
+    half = int(np.max(np.abs(center)) + np.sqrt(100.0 / lam_min)) + 2
+    return brute_force_theta(x, omega, half=half)[0]
+
+
+class TestThetaBatchDual:
+    """The Poisson-dual batch path against box sums and theta identities."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ill_conditioned_forms())
+    def test_matches_brute_force(self, case):
+        g, omega, rng = case
+        xs = rng.uniform(-3.0, 3.0, (4, g))
+        log_mag, phase, tail = theta.theta_tilde_batch(xs, omega, 1e-12)
+        for i in range(xs.shape[0]):
+            assert abs(log_mag[i] - _box_reference(xs[i], omega)) < 1e-10
+        npt.assert_array_equal(phase, 0.0)
+        assert np.all(tail <= 1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ill_conditioned_forms())
+    def test_quasi_periodicity(self, case):
+        # theta(x + Omega m) = exp(1/2 m^T Omega m + m^T x) theta(x)
+        g, omega, rng = case
+        xs = rng.uniform(-2.0, 2.0, (6, g))
+        ms = rng.integers(-2, 3, (6, g)).astype(float)
+        base = theta.theta_tilde_batch(xs, omega, 1e-12)[0]
+        moved = theta.theta_tilde_batch(xs + ms @ omega, omega, 1e-12)[0]
+        expected = (
+            base + 0.5 * np.einsum("ij,jk,ik->i", ms, omega, ms) + np.sum(ms * xs, axis=1)
+        )
+        npt.assert_allclose(moved, expected, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_dual_used_below_threshold(self, g):
+        omega = np.eye(g)  # det 1 < (2 pi)^g; k != 0 mass about 2g e^{-2 pi^2}
+        xs = np.random.default_rng(g).uniform(-3.0, 3.0, (5, g))
+        dual = theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512)
+        assert dual is not None
+        for i in range(xs.shape[0]):
+            assert abs(dual[0][i] - _box_reference(xs[i], omega)) < 1e-10
+        assert np.all(dual[2] <= 1e-12)
+
+    def test_primal_above_threshold(self):
+        omega = 50.0 * np.eye(1)  # det > 2 pi
+        xs = np.ones((2, 1))
+        assert theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512) is None
+
+    def test_guard_failure_falls_back_to_primal(self):
+        # det 144 < (2 pi)^3, but the four dual vectors +-e1, +-e2 carry
+        # 4 exp(-2 pi^2 / 12) = 0.77 > 1/2 of the k = 0 term, while one pair
+        # alone (0.39) passes the shortest-vector pre-check.
+        omega = np.diag([12.0, 12.0, 1.0])
+        a_inv = np.linalg.inv(omega)
+        mass = 4.0 * np.exp(-2.0 * np.pi**2 * a_inv[0, 0])
+        assert mass > 0.5 and mass / 2.0 <= 0.5
+        xs = np.random.default_rng(0).uniform(-3.0, 3.0, (5, 3))
+        assert theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512) is None
+        log_mag, _, tail = theta.theta_tilde_batch(xs, omega, 1e-12)
+        for i in range(xs.shape[0]):
+            assert abs(log_mag[i] - _box_reference(xs[i], omega)) < 1e-10
+        assert np.all(tail <= 1e-12)

@@ -151,6 +151,14 @@ class TestFit:
         npt.assert_allclose(result.best_nll, min(result.trace))
         assert result.model.is_valid()
 
+    def test_restart_nlls_one_per_restart(self):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=300)
+        result = train.fit(data, 1, TrainConfig(max_evals=200, restarts=3, seed=4))
+        assert len(result.restart_nlls) == 3
+        assert min(result.restart_nlls) == result.best_nll
+        assert result.restart_nlls[result.seed - 4] == result.best_nll
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=300)
