@@ -19,6 +19,15 @@ closed forms:
     sum_h P(v | h) P(h), which collapses to a Gaussian prefactor times a
     ratio of two theta evaluations.
 
+The derived hidden-sector parameters (T^{-1} W, S, the Cholesky factor of S
+and b_h) come from one cached Schur pass per model, ``RtbmModel.schur``.
+The densities need only the value of theta_b, not its points: it comes from
+the primal point set when ``hidden_params`` has already built it, else from
+the Poisson-dual form of ``theta._dual_batch`` (certified relative error r,
+entered as log V + log1p(r) so that log_norm stays an upper bound on
+log theta_b), else from ``hidden_params``.  The sampler, the CDF, the hidden
+pmf, the characteristic functions and the moments use the primal point set.
+
 All densities are exposed in log domain; theta magnitudes can be
 astronomically large, but their logs and ratios are stable.  Phase II
 (imaginary cross couplings) is representable and shape-checked but every
@@ -54,16 +63,34 @@ class Phase(enum.Enum):
 
 
 @dataclass(frozen=True)
-class HiddenGaussianParams:
-    """Derived hidden-sector data, computed once per model and epsilon.
+class SchurComplement:
+    """The hidden-sector parameters derived from (T, Q, W, B_v, B_h).
 
-    ``omega`` is the Schur complement Q - W^T T^{-1} W, ``bias`` the linear
-    term b_h = B_h - W^T T^{-1} B_v.  ``points`` and ``log_weights`` hold the
+    ``t_inv_w`` is T^{-1} W, ``omega`` the Schur complement
+    S = Q - W^T T^{-1} W (symmetrized), ``omega_low`` its lower Cholesky
+    factor and ``bias`` the linear term b_h = B_h - W^T T^{-1} B_v.
+    """
+
+    t_inv_w: np.ndarray
+    omega: np.ndarray
+    omega_low: np.ndarray
+    bias: np.ndarray
+
+
+@dataclass(frozen=True)
+class HiddenGaussianParams:
+    """Primal point set of the hidden sector, computed once per model and epsilon.
+
+    ``omega`` and ``bias`` are the Schur complement S and b_h of
+    ``RtbmModel.schur``.  ``points`` and ``log_weights`` hold the
     certification ellipsoid of the normalizer theta_b with the unnormalized
     log masses -1/2 h^T omega h - bias^T h; ``log_norm`` is
     log(theta_n + eps(R)), so the enumerated masses sum to
     theta_n / (theta_n + eps(R)) < 1, and ``p_outside`` is the certified
     bound eps(R) / (theta_n + eps(R)) on the mass outside the ellipsoid.
+    ``log_pdf_visible`` takes its normalizer from here when this set exists;
+    otherwise it uses the dual form, log V + log1p(r) with r the dual's
+    certified relative error, which is an upper bound on log theta_b too.
     """
 
     omega: np.ndarray
@@ -197,10 +224,8 @@ class RtbmModel:
             except NotPositiveDefinite:
                 violations.append(f"{name} is not positive definite")
         if "t" in margins:
-            s = self.q - self.w.T @ numerics.solve_spd(self.t, self.w)
-            s = 0.5 * (s + s.T)  # derived matrix; round-off asymmetry is ours
             try:
-                margins["s"] = numerics.min_cholesky_pivot(s, "schur complement")
+                margins["s"] = float(np.min(np.diag(self.schur().omega_low)))
             except (NotPositiveDefinite, NotSymmetric):
                 violations.append(
                     "schur complement q - w^T t^{-1} w is not positive definite"
@@ -228,25 +253,40 @@ class RtbmModel:
 
     # -- derived parameters --------------------------------------------------
 
-    def hidden_params(self, eps=theta.DEFAULT_EPS, budget=None):
-        """Hidden-sector discrete Gaussian data, cached per (epsilon, budget)."""
-        self._require_valid(phase_one=True)
-        key = ("hidden", eps, budget)
+    def schur(self):
+        """The Schur pass (T^{-1} W, S, its Cholesky factor, b_h), cached.
+
+        Raises NotPositiveDefinite when T or S is not positive definite.
+        """
+        key = ("schur",)
         if key not in self._cache:
             t_inv_w = numerics.solve_spd(self.t, self.w)
             omega = self.q - self.w.T @ t_inv_w
-            omega = 0.5 * (omega + omega.T)  # derived; symmetrize round-off
-            bias = self.bh - t_inv_w.T @ self.bv
+            omega = 0.5 * (omega + omega.T)  # derived matrix; round-off asymmetry is ours
+            self._cache[key] = SchurComplement(
+                t_inv_w=_freeze(t_inv_w),
+                omega=_freeze(omega),
+                omega_low=_freeze(numerics.cholesky(omega, "schur complement")),
+                bias=_freeze(self.bh - t_inv_w.T @ self.bv),
+            )
+        return self._cache[key]
+
+    def hidden_params(self, eps=theta.DEFAULT_EPS, budget=None):
+        """Hidden-sector primal point set, cached per (epsilon, budget)."""
+        self._require_valid(phase_one=True)
+        key = ("hidden", eps, budget)
+        if key not in self._cache:
+            sc = self.schur()
             data = theta._theta_sum(
-                -bias, omega, eps, budget=budget or lattice.POINT_BUDGET
+                -sc.bias, sc.omega, eps, budget=budget or lattice.POINT_BUDGET
             )
             tail = data.value.tail_bound
             reduced = abs(data.reduced_sum)
             log_norm = data.max_log_weight + math.log(reduced + tail)
             p_outside = tail / (reduced + tail)
             self._cache[key] = HiddenGaussianParams(
-                omega=_freeze(omega),
-                bias=_freeze(bias),
+                omega=sc.omega,
+                bias=sc.bias,
                 theta_value=data.value,
                 points=data.points,
                 log_weights=data.log_weights,
@@ -255,6 +295,31 @@ class RtbmModel:
                 p_outside=p_outside,
                 epsilon=eps,
             )
+        return self._cache[key]
+
+    def _log_norm(self, eps, budget):
+        """log theta_b for the densities, cached per (epsilon, budget).
+
+        The primal point set's ``log_norm`` when ``hidden_params`` has built
+        it; else the dual form at -b_h over S, log V + log1p(r): the dual
+        sum V is within relative error r of theta_b (its k != 0 mass is at
+        most 1/2), so V (1 + r) bounds theta_b from above, as the primal
+        log(reduced + tail) does.  Where the dual does not apply, the point
+        set is built.
+        """
+        hp = self._cache.get(("hidden", eps, budget))
+        if hp is not None:
+            return hp.log_norm
+        key = ("dual_norm", eps, budget)
+        if key not in self._cache:
+            sc = self.schur()
+            dual = theta._dual_batch(
+                -sc.bias[None, :], sc.omega, eps, budget or lattice.POINT_BUDGET, chunk=1
+            )
+            if dual is None:
+                return self.hidden_params(eps, budget).log_norm
+            log_mag, _, rel = dual
+            self._cache[key] = float(log_mag[0]) + math.log1p(float(rel[0]))
         return self._cache[key]
 
     def _t_cholesky(self):
@@ -269,11 +334,16 @@ class RtbmModel:
         """log P(v); accepts one point (nv,) or a batch (n, nv).
 
         ``budget`` caps the enumerated theta points (PointBudgetExceeded
-        beyond it); the default is the lattice module's global cap.
+        beyond it); the default is the lattice module's global cap.  The
+        numerator is one ``theta_tilde_batch`` over Q.  The normalizer
+        theta_b is the point set's ``log_norm`` when ``hidden_params`` has
+        built it for (eps, budget); otherwise the Poisson-dual value
+        log V + log1p(r), with r the dual's certified relative error; and
+        where the dual does not apply, ``hidden_params`` builds the point set.
         """
         self._require_valid(phase_one=True)
         v, single = _as_batch(v, self.nv, "v")
-        hp = self.hidden_params(eps, budget)
+        log_norm = self._log_norm(eps, budget)
         t_inv_bv = numerics.solve_spd(self.t, self.bv)
         u = v + t_inv_bv
         quad = np.einsum("ij,jk,ik->i", u, self.t, u)
@@ -284,7 +354,7 @@ class RtbmModel:
         log_num, _, _ = theta.theta_tilde_batch(
             zs, self.q, eps, budget=budget or lattice.POINT_BUDGET
         )
-        out = log_gauss + log_num - hp.log_norm
+        out = log_gauss + log_num - log_norm
         return float(out[0]) if single else out
 
     def log_pmf_hidden(self, h, eps=theta.DEFAULT_EPS):

@@ -49,11 +49,8 @@ def param_dim(nv, nh):
 
 def encode(m):
     """Flatten a valid model into an unconstrained parameter vector."""
-    t_low = cholesky(m.t, "t")
-    s = m.q - m.w.T @ solve_spd(m.t, m.w)
-    s_low = cholesky(s, "schur complement")
     parts = []
-    for low in (t_low, s_low):
+    for low in (cholesky(m.t, "t"), m.schur().omega_low):
         packed = low[_tril_indices(low.shape[0])].copy()
         diag_pos = np.cumsum(np.arange(1, low.shape[0] + 1)) - 1
         packed[diag_pos] = np.log(np.diag(low))
@@ -125,7 +122,7 @@ class TrainConfig:
     seed: int = 0
 
     def resolve_population(self, dim):
-        lam = self.population if self.population else 4 + int(3 * math.log(dim))
+        lam = 4 + int(3 * math.log(dim)) if self.population is None else self.population
         if lam < 4:
             raise ValueError(f"population must be >= 4, got {lam}")
         return lam
@@ -296,11 +293,11 @@ def _too_many_points(m, eps=TRAIN_EPS, budget=TRAIN_POINT_BUDGET):
     spending seconds enumerating a doomed model.  The primal ellipsoid of the
     visible numerator, over Q, never has a larger estimate: S = Q - W^T T^{-1} W
     <= Q gives S_ii <= Q_ii, hence a smaller rho bound and a larger radius for
-    S, and det S <= det Q.
+    S, and det S <= det Q.  S's Cholesky factor comes from the model's
+    cached Schur pass, which the likelihood then reuses.
     """
     g = m.nh
-    s = m.q - m.w.T @ solve_spd(m.t, m.w)
-    low = cholesky(0.5 * (s + s.T))
+    low = m.schur().omega_low
     rho_ub = float(np.min(np.linalg.norm(low, axis=1)))
     radius = theta._TailBound(g, rho_ub).solve_radius(math.log(eps))
     log_det = 2.0 * float(np.sum(np.log(np.diag(low))))

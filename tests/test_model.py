@@ -4,10 +4,11 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from rtbm import lattice, theta
 from rtbm.errors import InvalidModel, RankDeficient, UnsupportedDimension
 from rtbm.model import Phase, RtbmModel
 
-from conftest import random_valid_model
+from conftest import brute_force_theta, random_pd_matrix, random_valid_model
 
 
 def mixture_log_pdf(m, v, eps=1e-12):
@@ -86,6 +87,75 @@ class TestLogPdfVisible:
         m = RtbmModel([[1.0]], [[2.0]], [[1.0]], [0.0], [0.0], phase=Phase.II)
         with pytest.raises(InvalidModel, match="phase"):
             m.log_pdf_visible([0.0])
+
+
+def model_with_schur(s, seed):
+    """Valid model with nv = 2, random couplings and Schur complement ``s``."""
+    rng = np.random.default_rng(seed)
+    g = s.shape[0]
+    t = random_pd_matrix(rng, 2)
+    w = rng.normal(scale=0.7, size=(2, g))
+    q = s + w.T @ np.linalg.solve(t, w)
+    return RtbmModel(
+        t, 0.5 * (q + q.T), w, rng.normal(scale=0.5, size=2), rng.normal(scale=0.5, size=g)
+    )
+
+
+# (Schur complement, whether det S < (2 pi)^g so that the dual form applies)
+SCHUR_CASES = [
+    (np.array([[0.8]]), True),
+    (np.array([[9.0]]), False),
+    (np.array([[1.5, 0.4], [0.4, 0.9]]), True),
+    (np.array([[9.0, 2.0], [2.0, 7.0]]), False),
+    (np.array([[2.0, 0.3, -0.2], [0.3, 1.2, 0.1], [-0.2, 0.1, 0.7]]), True),
+    (np.array([[8.0, 1.0, 0.5], [1.0, 9.0, -1.0], [0.5, -1.0, 6.0]]), False),
+]
+
+
+class TestSchurPass:
+    def test_cached_and_consistent(self):
+        m = random_valid_model(np.random.default_rng(4), nv=2, nh=3)
+        sc = m.schur()
+        assert m.schur() is sc
+        expected = m.q - m.w.T @ np.linalg.solve(m.t, m.w)
+        npt.assert_allclose(sc.omega, expected, atol=1e-12)
+        npt.assert_array_equal(sc.omega, sc.omega.T)
+        npt.assert_allclose(sc.omega_low @ sc.omega_low.T, sc.omega, atol=1e-12)
+        npt.assert_allclose(sc.bias, m.bh - m.w.T @ np.linalg.solve(m.t, m.bv), atol=1e-12)
+        npt.assert_allclose(m.validate()["s"], np.min(np.diag(sc.omega_low)))
+        hp = m.hidden_params()
+        assert hp.omega is sc.omega and hp.bias is sc.bias
+
+
+class TestDualNormalizer:
+    """log_pdf_visible's normalizer theta(-b_h | S) without the primal point set."""
+
+    @pytest.mark.parametrize("s, dual", SCHUR_CASES)
+    def test_log_norm_against_brute_force(self, s, dual):
+        m = model_with_schur(s, seed=s.shape[0])
+        sc = m.schur()
+        xs = -sc.bias[None, :]
+        assert (theta._dual_batch(xs, sc.omega, 1e-12, lattice.POINT_BUDGET, 1) is not None) == dual
+        assert dual == (np.linalg.slogdet(s)[1] < s.shape[0] * np.log(2.0 * np.pi))
+        log_norm = m._log_norm(1e-12, None)
+        assert abs(log_norm - brute_force_theta(-sc.bias, sc.omega)[0]) < 1e-10
+        # The dual value leaves the point set unbuilt; the fallback builds it.
+        assert (("hidden", 1e-12, None) in m._cache) == (not dual)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    @pytest.mark.parametrize("s", [c for c, dual in SCHUR_CASES if dual])
+    def test_agrees_with_primal_within_eps(self, s, eps):
+        m = model_with_schur(s, seed=7)
+        dual = m._log_norm(eps, None)
+        assert ("hidden", eps, None) not in m._cache
+        assert abs(dual - m.hidden_params(eps).log_norm) <= eps
+
+    @pytest.mark.parametrize("s", [c for c, _ in SCHUR_CASES])
+    def test_log_pdf_independent_of_point_set(self, s):
+        fresh, built = model_with_schur(s, seed=11), model_with_schur(s, seed=11)
+        built.hidden_params()
+        v = np.random.default_rng(3).normal(scale=2.0, size=(50, 2))
+        npt.assert_allclose(fresh.log_pdf_visible(v), built.log_pdf_visible(v), rtol=0, atol=1e-12)
 
 
 class TestLogPmfHidden:

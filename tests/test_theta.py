@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtbm import lattice, theta
@@ -282,6 +282,19 @@ class TestThetaBatchDual:
             base + 0.5 * np.einsum("ij,jk,ik->i", ms, omega, ms) + np.sum(ms * xs, axis=1)
         )
         npt.assert_allclose(moved, expected, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("dual", [True, False])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=ill_conditioned_forms())
+    def test_even_in_the_argument(self, case, dual):
+        # theta(-x) = theta(x): the summation lattice is symmetric under n -> -n.
+        g, omega, rng = case
+        xs = rng.uniform(-3.0, 3.0, (5, g))
+        assume((theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512) is not None) == dual)
+        plus = theta.theta_tilde_batch(xs, omega, 1e-12)
+        minus = theta.theta_tilde_batch(-xs, omega, 1e-12)
+        npt.assert_allclose(minus[0], plus[0], rtol=1e-13, atol=1e-12)
+        npt.assert_array_equal(minus[2], plus[2])
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_dual_used_below_threshold(self, g):

@@ -174,3 +174,13 @@ class TestFit:
             train.fit(np.zeros(5), 1, TrainConfig())
         with pytest.raises(ValueError):
             train.fit(np.zeros(100), 0, TrainConfig())
+
+    @pytest.mark.parametrize("population", [0, 3, -1])
+    def test_population_below_four_rejected(self, population):
+        with pytest.raises(ValueError, match="population"):
+            TrainConfig(population=population).resolve_population(5)
+        with pytest.raises(ValueError, match="population"):
+            train.fit(np.random.default_rng(0).normal(size=50), 1, TrainConfig(population=population))
+
+    def test_population_default(self):
+        assert TrainConfig().resolve_population(5) == 4 + int(3 * np.log(5))
