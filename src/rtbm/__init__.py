@@ -12,7 +12,6 @@ from .errors import (
     DegenerateBasis,
     InvalidModel,
     LengthMismatch,
-    NonTerminating,
     NotPositiveDefinite,
     NotSymmetric,
     ObjectiveNonFinite,
@@ -23,7 +22,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .lattice import EllipsoidPointSet, enumerate_ellipsoid, lll_reduce, shortest_vector_estimate
-from .model import HiddenGaussianParams, Phase, RtbmModel
+from .model import HiddenGaussianParams, RtbmModel
 from .sampler import (
     HiddenSamplerState,
     RngStream,
@@ -64,11 +63,9 @@ __all__ = [
     "Histogram",
     "InvalidModel",
     "LengthMismatch",
-    "NonTerminating",
     "NotPositiveDefinite",
     "NotSymmetric",
     "ObjectiveNonFinite",
-    "Phase",
     "PointBudgetExceeded",
     "RankDeficient",
     "RngStream",

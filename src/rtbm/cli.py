@@ -6,12 +6,12 @@ affine map to the parameters), ``validate`` (sample and score against a
 dataset), and ``theta`` (evaluate the theta kernel for debugging).
 
 File formats.  Models are JSON objects with integer ``format_version`` 1,
-``nv``/``nh``, ``phase`` ("I" or "II"), row-major nested arrays ``t``,
-``q``, ``w``, arrays ``bv``/``bh`` and an optional free-form ``metadata``
-object; floats are written with repr round-trip precision so that
-load(store(m)) is bit-exact, and loading re-validates the model.  Bulk data
-is CSV, one sample per row, with an optional header (auto-detected by a
-non-numeric first row).
+``nv``/``nh``, ``phase`` ("I", may be omitted; others exit 2), row-major
+nested arrays ``t``, ``q``, ``w``, arrays ``bv``/``bh`` and an optional
+free-form ``metadata`` object; floats are written with repr round-trip
+precision so that load(store(m)) is bit-exact, and loading re-validates
+the model.  Bulk data is CSV, one sample per row, with an optional header
+(auto-detected by a non-numeric first row).
 
 Exit codes: 0 success, 2 usage or input error, 3 model or training error,
 4 numerical-guard error.  Every subcommand is deterministic given its
@@ -220,8 +220,6 @@ def _cmd_sample(args):
     if args.n < 1:
         raise _CliError(EXIT_USAGE, f"--n must be >= 1, got {args.n}")
     m, _ = load_model(args.model)
-    if m.phase.value != "I":
-        raise _CliError(EXIT_USAGE, "sampling requires a phase I model")
     try:
         batch = sample_visible(m, args.n, RngStream(args.seed), eps=_default_eps())
     except TruncationMassTooLarge as exc:

@@ -42,10 +42,6 @@ class UnsupportedDimension(RtbmError):
     """Operation restricted to a particular visible dimension."""
 
 
-class NonTerminating(RtbmError):
-    """Rejection sampling exceeded its proposal budget (corrupt state)."""
-
-
 class TruncationMassTooLarge(RtbmError):
     """Probability mass outside the certification ellipsoid is not negligible."""
 

@@ -29,18 +29,18 @@ log theta_b), else from ``hidden_params``.  The sampler, the CDF, the hidden
 pmf, the characteristic functions and the moments use the primal point set.
 
 All densities are exposed in log domain; theta magnitudes can be
-astronomically large, but their logs and ratios are stable.  Phase II
-(imaginary cross couplings) is representable and shape-checked but every
-density, moment and sampling operation rejects it.
+astronomically large, but their logs and ratios are stable.  Only real
+cross couplings (phase I of the paper) are modelled; ``from_dict`` rejects
+any other phase.
 """
 
-import enum
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 
 from . import lattice, numerics, theta
@@ -53,13 +53,6 @@ from .errors import (
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-class Phase(enum.Enum):
-    """Coupling regime: real cross couplings (I) or imaginary ones (II)."""
-
-    I = "I"
-    II = "II"
 
 
 @dataclass(frozen=True)
@@ -135,14 +128,12 @@ class RtbmModel:
     definiteness invariants.  Instances are immutable and safe to share.
     """
 
-    def __init__(self, t, q, w, bv, bh, phase=Phase.I):
+    def __init__(self, t, q, w, bv, bh):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         q = np.atleast_2d(np.asarray(q, dtype=float))
         w = np.atleast_2d(np.asarray(w, dtype=float))
         bv = np.atleast_1d(np.asarray(bv, dtype=float))
         bh = np.atleast_1d(np.asarray(bh, dtype=float))
-        if isinstance(phase, str):
-            phase = Phase(phase)
         nv, nh = t.shape[0], q.shape[0]
         bad = []
         if t.shape != (nv, nv):
@@ -162,7 +153,6 @@ class RtbmModel:
         self.w = _freeze(w)
         self.bv = _freeze(bv)
         self.bh = _freeze(bh)
-        self.phase = phase
         self._cache = {}
 
     @property
@@ -174,9 +164,7 @@ class RtbmModel:
         return self.q.shape[0]
 
     def __repr__(self):
-        return (
-            f"RtbmModel(nv={self.nv}, nh={self.nh}, phase={self.phase.value})"
-        )
+        return f"RtbmModel(nv={self.nv}, nh={self.nh})"
 
     # -- serialization ----------------------------------------------------
 
@@ -186,7 +174,7 @@ class RtbmModel:
             "format_version": 1,
             "nv": self.nv,
             "nh": self.nh,
-            "phase": self.phase.value,
+            "phase": "I",  # kept so that model files and fingerprints stay the same
             "t": self.t.tolist(),
             "q": self.q.tolist(),
             "w": self.w.tolist(),
@@ -196,10 +184,10 @@ class RtbmModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            t=d["t"], q=d["q"], w=d["w"], bv=d["bv"], bh=d["bh"],
-            phase=d.get("phase", "I"),
-        )
+        """Inverse of ``to_dict``; a ``"phase"`` other than "I" is rejected."""
+        if d.get("phase", "I") != "I":
+            raise InvalidModel(f"phase {d['phase']!r} is not supported, only 'I' (real couplings)")
+        return cls(t=d["t"], q=d["q"], w=d["w"], bv=d["bv"], bh=d["bh"])
 
     def fingerprint(self):
         """Stable hash of the exact parameter values."""
@@ -216,9 +204,10 @@ class RtbmModel:
         """
         violations = []
         margins = {}
-        for name, mat in (("t", self.t), ("q", self.q)):
+        factors = {"t": self._t_cholesky, "q": lambda: numerics.cholesky(self.q, "q")}
+        for name, factor in factors.items():
             try:
-                margins[name] = numerics.min_cholesky_pivot(mat, name)
+                margins[name] = float(np.min(np.diag(factor())))
             except NotSymmetric:
                 violations.append(f"{name} is not symmetric")
             except NotPositiveDefinite:
@@ -241,15 +230,11 @@ class RtbmModel:
             return False
         return True
 
-    def _require_valid(self, phase_one=False):
+    def _require_valid(self):
         key = ("valid",)
         if key not in self._cache:
             self.validate()
             self._cache[key] = True
-        if phase_one and self.phase is not Phase.I:
-            raise InvalidModel(
-                "operation requires a phase I model (real cross couplings)"
-            )
 
     # -- derived parameters --------------------------------------------------
 
@@ -260,7 +245,7 @@ class RtbmModel:
         """
         key = ("schur",)
         if key not in self._cache:
-            t_inv_w = numerics.solve_spd(self.t, self.w)
+            t_inv_w = self._solve_t(self.w)
             omega = self.q - self.w.T @ t_inv_w
             omega = 0.5 * (omega + omega.T)  # derived matrix; round-off asymmetry is ours
             self._cache[key] = SchurComplement(
@@ -273,7 +258,7 @@ class RtbmModel:
 
     def hidden_params(self, eps=theta.DEFAULT_EPS, budget=None):
         """Hidden-sector primal point set, cached per (epsilon, budget)."""
-        self._require_valid(phase_one=True)
+        self._require_valid()
         key = ("hidden", eps, budget)
         if key not in self._cache:
             sc = self.schur()
@@ -323,10 +308,20 @@ class RtbmModel:
         return self._cache[key]
 
     def _t_cholesky(self):
+        """Lower Cholesky factor of T, cached: the one factorization of T."""
         key = ("chol_t",)
         if key not in self._cache:
             self._cache[key] = numerics.cholesky(self.t, "t")
         return self._cache[key]
+
+    def _solve_t(self, b):
+        """T^{-1} b from the cached factor of T."""
+        return scipy.linalg.cho_solve((self._t_cholesky(), True), np.asarray(b, dtype=float))
+
+    def _log_gauss_norm(self):
+        """1/2 (log det T - nv log 2 pi), the log normalizer of N(., T^{-1})."""
+        log_det = 2.0 * float(np.sum(np.log(np.diag(self._t_cholesky()))))
+        return 0.5 * (log_det - self.nv * _LOG_2PI)
 
     # -- densities ----------------------------------------------------------
 
@@ -341,15 +336,12 @@ class RtbmModel:
         log V + log1p(r), with r the dual's certified relative error; and
         where the dual does not apply, ``hidden_params`` builds the point set.
         """
-        self._require_valid(phase_one=True)
+        self._require_valid()
         v, single = _as_batch(v, self.nv, "v")
         log_norm = self._log_norm(eps, budget)
-        t_inv_bv = numerics.solve_spd(self.t, self.bv)
-        u = v + t_inv_bv
+        u = v + self._solve_t(self.bv)
         quad = np.einsum("ij,jk,ik->i", u, self.t, u)
-        log_gauss = 0.5 * (
-            numerics.log_determinant(self.t, "t") - self.nv * _LOG_2PI
-        ) - 0.5 * quad
+        log_gauss = self._log_gauss_norm() - 0.5 * quad
         zs = v @ self.w + self.bh
         log_num, _, _ = theta.theta_tilde_batch(
             zs, self.q, eps, budget=budget or lattice.POINT_BUDGET
@@ -359,7 +351,7 @@ class RtbmModel:
 
     def log_pmf_hidden(self, h, eps=theta.DEFAULT_EPS):
         """log P(h) for integer hidden states; single (nh,) or batch (n, nh)."""
-        self._require_valid(phase_one=True)
+        self._require_valid()
         h, single = _as_batch(h, self.nh, "h")
         hp = self.hidden_params(eps)
         log_w = (
@@ -372,31 +364,28 @@ class RtbmModel:
         """mu(h) = -T^{-1} (W h + B_v), the mean of P(v | h)."""
         self._require_valid()
         hh, single = _as_batch(h, self.nh, "h")
-        mu = -numerics.solve_spd(self.t, (hh @ self.w.T + self.bv).T).T
+        mu = -self._solve_t((hh @ self.w.T + self.bv).T).T
         return mu[0] if single else mu
 
     def log_pdf_conditional(self, v, h):
         """log P(v | h): Gaussian with precision T and mean mu(h)."""
-        self._require_valid(phase_one=True)
+        self._require_valid()
         v = np.atleast_1d(np.asarray(v, dtype=float))
         mu = self.conditional_mean(h)
         d = v - mu
-        return float(
-            0.5 * (numerics.log_determinant(self.t, "t") - self.nv * _LOG_2PI)
-            - 0.5 * d @ self.t @ d
-        )
+        return float(self._log_gauss_norm() - 0.5 * d @ self.t @ d)
 
     # -- characteristic functions --------------------------------------------
 
     def characteristic_visible(self, r, eps=theta.DEFAULT_EPS):
         """phi_v(r) = E[exp(i r^T v)]; exactly 1 at r = 0."""
-        self._require_valid(phase_one=True)
+        self._require_valid()
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.nv,):
             raise ValueError(f"r must have shape ({self.nv},), got {r.shape}")
         hp = self.hidden_params(eps)
-        t_inv_bv = numerics.solve_spd(self.t, self.bv)
-        t_inv_r = numerics.solve_spd(self.t, r)
+        t_inv_bv = self._solve_t(self.bv)
+        t_inv_r = self._solve_t(r)
         # theta_tilde is even in z; evaluating at -(bias) - i W^T T^{-1} r makes
         # r = 0 reuse the cached normalizer evaluation exactly, so phi(0) = 1.
         z_num = -hp.bias - 1j * (self.w.T @ t_inv_r)
@@ -411,7 +400,7 @@ class RtbmModel:
 
     def characteristic_hidden(self, r, eps=theta.DEFAULT_EPS):
         """phi_h(r) = E[exp(i r^T h)]; exactly 1 at r = 0."""
-        self._require_valid(phase_one=True)
+        self._require_valid()
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.nh,):
             raise ValueError(f"r must have shape ({self.nh},), got {r.shape}")
@@ -466,7 +455,7 @@ class RtbmModel:
         w_new = a_plus.T @ self.w
         bv_new = a_plus.T @ self.bv - t_new @ b
         bh_new = self.bh - w_new.T @ b
-        out = RtbmModel(t_new, self.q, w_new, bv_new, bh_new, self.phase)
+        out = RtbmModel(t_new, self.q, w_new, bv_new, bh_new)
         out.validate()
         return out
 
@@ -474,7 +463,7 @@ class RtbmModel:
 
     def cdf_visible_1d(self, x, eps=theta.DEFAULT_EPS):
         """P(v <= x) for one-dimensional models, as a weighted sum of normal CDFs."""
-        self._require_valid(phase_one=True)
+        self._require_valid()
         if self.nv != 1:
             raise UnsupportedDimension(
                 f"cdf_visible_1d requires nv = 1, got nv = {self.nv}"
@@ -484,6 +473,9 @@ class RtbmModel:
         mus = self.conditional_mean(hp.points.astype(float))[:, 0]
         sigma = 1.0 / math.sqrt(self.t[0, 0])
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        zc = (xs[:, None] - mus[None, :]) / sigma
-        out = np.clip(scipy.special.ndtr(zc) @ masses, 0.0, 1.0)
+        # one (n, points) buffer, reused in place: a fresh temporary this
+        # large is a new mmap from the allocator, page-faulted on every call
+        zc = xs[:, None] - mus[None, :]
+        zc /= sigma
+        out = np.clip(scipy.special.ndtr(zc, out=zc) @ masses, 0.0, 1.0)
         return float(out[0]) if np.ndim(x) == 0 else out

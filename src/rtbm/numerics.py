@@ -53,11 +53,6 @@ def is_positive_definite(m):
     return True
 
 
-def min_cholesky_pivot(m, name="matrix"):
-    """Smallest diagonal entry of the Cholesky factor (a PD margin)."""
-    return float(np.min(np.diag(cholesky(m, name))))
-
-
 def inverse(m, name="matrix"):
     """Inverse of a symmetric positive definite matrix, symmetrized."""
     low = cholesky(m, name)

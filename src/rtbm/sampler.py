@@ -2,16 +2,18 @@
 
 A visible sample is drawn in two stages: a hidden state h from the discrete
 Gaussian P(h), then v from the conditional Gaussian P(v | h).  The hidden
-draw uses rejection sampling over the finite point set that certifies the
-theta normalizer: propose uniformly among the enumerated lattice points and
-accept with probability P(h) / max P(h) over the set.  The probability that
-an exact draw from P(h) falls outside that set is
+draw is an inverse-CDF draw over the finite point set that certifies the
+theta normalizer: the cumulative sums of the masses P(h) / max P(h) over
+the set are searched for u * total, with u uniform on [0, 1).  This is an
+exact draw from P(h) restricted to the set; the mass of P(h) outside the
+set is at most
 
     p = eps(R) / (theta_n + eps(R)),
 
-which is surfaced as a diagnostic and must stay below PMAX_OUTSIDE; at the
-default theta epsilon it is ~1e-12, so the ellipsoid truncation is
-statistically invisible.
+so the output law is within total variation p of the exact P(h).  p is
+surfaced as a diagnostic and must stay below PMAX_OUTSIDE; at the default
+theta epsilon it is ~1e-12, so the ellipsoid truncation is statistically
+invisible.
 
 Reproducibility contract: randomness comes from the Philox 4x64 counter
 generator (numpy), keyed by (seed, stream id); identical keys reproduce
@@ -20,21 +22,17 @@ use numpy's ziggurat method via Generator.standard_normal.  Parallel
 generation should assign distinct stream ids, one per task.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from . import theta
-from .errors import NonTerminating, TruncationMassTooLarge
+from .errors import TruncationMassTooLarge
 
 #: Hard ceiling on the certified outside-ellipsoid mass; beyond this the
 #: truncated sampler would be visibly biased, so it refuses to run.
 PMAX_OUTSIDE = 1e-4
-
-#: Rejection proposals allowed before declaring the state corrupt.
-MAX_PROPOSALS = 10**9
 
 RNG_ALGORITHM = "philox4x64-10"
 
@@ -71,13 +69,16 @@ def _as_generator(rng):
 
 @dataclass(frozen=True)
 class HiddenSamplerState:
-    """Frozen proposal table for the hidden-sector rejection sampler."""
+    """Frozen inverse-CDF table for the hidden-sector draw.
+
+    ``accept_prob`` holds the relative masses P(h) / max P(h) of ``points``,
+    the point set that certifies the normalizer; the draw is proportional to
+    them.  ``p_outside`` bounds the mass of P(h) outside the set.
+    """
 
     points: np.ndarray = field(repr=False)
     accept_prob: np.ndarray = field(repr=False)
-    log_max_weight: float
     p_outside: float
-    mean_accept: float
 
     @classmethod
     def from_model(cls, m, eps=theta.DEFAULT_EPS):
@@ -86,57 +87,35 @@ class HiddenSamplerState:
             raise TruncationMassTooLarge(
                 f"outside-ellipsoid mass {hp.p_outside:.3e} exceeds {PMAX_OUTSIDE}"
             )
-        log_max = float(np.max(hp.log_weights))
-        accept = np.exp(hp.log_weights - log_max)
         return cls(
             points=hp.points,
-            accept_prob=accept,
-            log_max_weight=log_max,
+            accept_prob=np.exp(hp.log_weights - np.max(hp.log_weights)),
             p_outside=hp.p_outside,
-            mean_accept=float(np.mean(accept)),
         )
 
 
 def sample_hidden(state, rng, size=None):
     """Draw hidden states from the ellipsoid-truncated discrete Gaussian.
 
-    Uniform proposals over the enumerated points, accepted with probability
-    P(h) / max P(h); the output law is within total variation ``p_outside``
-    of the exact P(h).
+    Inverse CDF over ``state.points``: with u uniform on [0, 1), the first
+    point whose cumulative mass exceeds u * total.  ``side="right"`` never
+    picks a point of zero mass and, as u * total < total, stays in range.
+    The output law is within total variation ``p_outside`` of the exact P(h).
     """
-    gen = _as_generator(rng)
-    n = 1 if size is None else int(size)
-    k = state.points.shape[0]
-    out = np.empty((n, state.points.shape[1]), dtype=np.int64)
-    filled = 0
-    proposals = 0
-    while filled < n:
-        want = n - filled
-        batch = min(max(int(want / max(state.mean_accept, 1e-3)) + 16, want), 10**7)
-        idx = gen.integers(0, k, size=batch)
-        unif = gen.random(batch)
-        good = idx[unif < state.accept_prob[idx]]
-        take = min(good.shape[0], want)
-        out[filled : filled + take] = state.points[good[:take]]
-        filled += take
-        proposals += batch
-        if proposals > MAX_PROPOSALS:
-            raise NonTerminating(
-                f"rejection sampler made {proposals} proposals without filling "
-                f"the request; sampler state is corrupt"
-            )
-    return out[0] if size is None else out
+    u = _as_generator(rng).random(size)
+    cdf = np.cumsum(state.accept_prob)
+    return state.points[np.searchsorted(cdf, u * cdf[-1], side="right")]
 
 
 def sample_conditional(m, h, rng, size=None):
     """Draw v ~ P(v | h): mean mu(h), covariance T^{-1}.
 
-    Uses v = mu(h) + L^{-T} xi with T = L L^T and xi standard normal.
+    ``h`` is one hidden state, or a batch of ``size`` states with one draw
+    each.  Uses v = mu(h) + L^{-T} xi with T = L L^T and xi standard normal.
     """
-    m._require_valid(phase_one=True)
     gen = _as_generator(rng)
+    mu = m.conditional_mean(np.asarray(h, dtype=float))  # validates the model
     low = m._t_cholesky()
-    mu = m.conditional_mean(np.asarray(h, dtype=float))
     n = 1 if size is None else int(size)
     xi = gen.standard_normal((n, m.nv))
     dev = scipy.linalg.solve_triangular(low.T, xi.T, lower=False).T
@@ -153,7 +132,6 @@ class SampleBatch:
     stream_id: int
     model_fingerprint: str
     p_outside: float
-    acceptance_rate: float
 
     def __len__(self):
         return self.samples.shape[0]
@@ -168,15 +146,10 @@ def sample_visible(m, n, rng, eps=theta.DEFAULT_EPS):
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    m._require_valid(phase_one=True)
     state = HiddenSamplerState.from_model(m, eps)
     gen = _as_generator(rng)
     hs = sample_hidden(state, gen, size=n)
-    mus = m.conditional_mean(hs.astype(float))
-    low = m._t_cholesky()
-    xi = gen.standard_normal((n, m.nv))
-    dev = scipy.linalg.solve_triangular(low.T, xi.T, lower=False).T
-    samples = mus + dev
+    samples = sample_conditional(m, hs, gen, size=n)
     seed, stream = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else (-1, -1)
     return SampleBatch(
         samples=samples,
@@ -184,5 +157,4 @@ def sample_visible(m, n, rng, eps=theta.DEFAULT_EPS):
         stream_id=stream,
         model_fingerprint=m.fingerprint(),
         p_outside=state.p_outside,
-        acceptance_rate=state.mean_accept,
     )

@@ -23,7 +23,7 @@ import scipy.special
 
 from . import theta
 from .errors import ObjectiveNonFinite, RtbmError
-from .model import Phase, RtbmModel
+from .model import RtbmModel
 from .numerics import cholesky, solve_spd
 
 #: Theta tail error used while the optimizer explores; final scores use
@@ -92,7 +92,7 @@ def decode(vec, nv, nh):
     t = t_low @ t_low.T
     s = s_low @ s_low.T
     q = s + w.T @ solve_spd(t, w)
-    return RtbmModel(t, 0.5 * (q + q.T), w, bv, bh, Phase.I)
+    return RtbmModel(t, 0.5 * (q + q.T), w, bv, bh)
 
 
 # -- likelihood ------------------------------------------------------------------

@@ -6,6 +6,9 @@ scans, and quadrature.  Expected values in the tests are computed from
 these oracles (or verified against them), never from the code under test.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -142,3 +145,10 @@ def random_valid_model(rng, nv=None, nh=None, w_scale=0.7, b_scale=0.5):
 def test_model_1d():
     """The 1d reference model: T=1, Q=2, W=1, B=0 (Schur complement 1)."""
     return RtbmModel([[1.0]], [[2.0]], [[1.0]], [0.0], [0.0])
+
+
+@pytest.fixture
+def serve_doc():
+    """The benchmark's committed serving model (nv=1, nh=2), as its JSON document."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "serve_model.json"
+    return json.loads(path.read_text())

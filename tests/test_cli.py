@@ -49,6 +49,19 @@ class TestModelFile:
         assert rc == 2
         assert not (tmp_path / "s.csv").exists()
 
+    def test_phase_two_rejected(self, tmp_path, test_model_1d):
+        doc = test_model_1d.to_dict()
+        doc["phase"] = "II"
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["sample", "--model", str(path), "--n", "10", "--seed", "1",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        rc = main(["pdf", "--model", str(path), "--grid", "0:1:2",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "o.csv").exists()
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "v9.json"
         path.write_text(json.dumps({"format_version": 9}))

@@ -4,9 +4,9 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from rtbm import lattice, theta
+from rtbm import lattice, numerics, theta
 from rtbm.errors import InvalidModel, RankDeficient, UnsupportedDimension
-from rtbm.model import Phase, RtbmModel
+from rtbm.model import RtbmModel
 
 from conftest import brute_force_theta, random_pd_matrix, random_valid_model
 
@@ -84,9 +84,25 @@ class TestLogPdfVisible:
             assert np.isfinite(test_model_1d.log_pdf_visible([v]))
 
     def test_phase_two_rejected(self):
-        m = RtbmModel([[1.0]], [[2.0]], [[1.0]], [0.0], [0.0], phase=Phase.II)
+        d = RtbmModel([[1.0]], [[2.0]], [[1.0]], [0.0], [0.0]).to_dict()
+        d["phase"] = "II"
         with pytest.raises(InvalidModel, match="phase"):
-            m.log_pdf_visible([0.0])
+            RtbmModel.from_dict(d)
+
+    def test_t_factored_once_per_model(self, serve_doc, monkeypatch):
+        m = RtbmModel.from_dict(serve_doc)
+        calls = []
+        factor = numerics.cholesky
+
+        def counting(mat, name="matrix"):
+            if np.shape(mat) == m.t.shape and np.array_equal(mat, m.t):
+                calls.append(name)
+            return factor(mat, name)
+
+        monkeypatch.setattr(numerics, "cholesky", counting)
+        m.log_pdf_visible([[7.0], [9.0]])
+        m.log_pdf_visible([8.0])
+        assert len(calls) == 1
 
 
 def model_with_schur(s, seed):
@@ -420,6 +436,11 @@ class TestSerialization:
         for f in ("t", "q", "w", "bv", "bh"):
             npt.assert_array_equal(getattr(m, f), getattr(m2, f))
         assert m.fingerprint() == m2.fingerprint()
+
+    def test_phase_one_files_keep_their_fingerprint(self, serve_doc):
+        assert RtbmModel.from_dict(serve_doc).fingerprint() == "233216ad28de6670"
+        del serve_doc["phase"]
+        assert RtbmModel.from_dict(serve_doc).fingerprint() == "233216ad28de6670"
 
     def test_fingerprint_sensitive_to_parameters(self):
         rng = np.random.default_rng(19)

@@ -4,7 +4,7 @@ import pytest
 import scipy.stats
 
 from rtbm import sampler
-from rtbm.errors import NonTerminating, TruncationMassTooLarge
+from rtbm.errors import TruncationMassTooLarge
 from rtbm.model import RtbmModel
 from rtbm.sampler import HiddenSamplerState, RngStream
 
@@ -65,33 +65,42 @@ class TestSampleHidden:
         sigma = np.sqrt(discrete_model.hidden_covariance()[0, 0])
         assert abs(draws.mean()) <= 3.0 * sigma / np.sqrt(100_000)
 
-    def test_acceptance_rate_matches_expectation(self, discrete_model):
-        state = HiddenSamplerState.from_model(discrete_model)
-        gen = RngStream(3).generator()
-        k = state.points.shape[0]
-        n_prop = 100_000
-        idx = gen.integers(0, k, n_prop)
-        accepted = np.sum(gen.random(n_prop) < state.accept_prob[idx])
-        expected = state.mean_accept
-        se = np.sqrt(expected * (1 - expected) / n_prop)
-        assert abs(accepted / n_prop - expected) <= 3 * se
-
     def test_truncation_mass_guard(self, discrete_model):
         with pytest.raises(TruncationMassTooLarge):
             HiddenSamplerState.from_model(discrete_model, eps=0.05)
 
-    def test_non_terminating_guard(self, discrete_model, monkeypatch):
+    def test_serve_model_frequencies_match_pmf(self, serve_doc):
+        # a peaked two-dimensional law: most of the 141 certified points carry
+        # almost no mass (their mean P(h) / max P(h) is 0.035)
+        m = RtbmModel.from_dict(serve_doc)
+        state = HiddenSamplerState.from_model(m)
+        n = 100_000
+        draws = sampler.sample_hidden(state, RngStream(12), size=n)
+        expected = n * np.exp(m.log_pmf_hidden(state.points.astype(float)))
+        index = {tuple(p): i for i, p in enumerate(state.points)}
+        observed = np.bincount([index[tuple(h)] for h in draws], minlength=len(index))
+        big = expected >= 20
+        assert big.sum() >= 5
+        obs = np.append(observed[big], n - observed[big].sum())
+        exp = np.append(expected[big], n - expected[big].sum())
+        assert scipy.stats.chisquare(obs, exp).pvalue > 0.01
+
+    def test_draws_are_certified_points(self, serve_doc):
+        m = RtbmModel.from_dict(serve_doc)
+        state = HiddenSamplerState.from_model(m)
+        draws = sampler.sample_hidden(state, RngStream(13), size=10_000)
+        rows = {tuple(p) for p in state.points}
+        assert draws.shape == (10_000, m.nh)
+        assert all(tuple(h) in rows for h in draws)
+        single = sampler.sample_hidden(state, RngStream(13))
+        assert single.shape == (m.nh,)
+        npt.assert_array_equal(single, draws[0])
+
+    def test_reproducible_given_stream(self, discrete_model):
         state = HiddenSamplerState.from_model(discrete_model)
-        broken = HiddenSamplerState(
-            points=state.points,
-            accept_prob=np.zeros_like(state.accept_prob),
-            log_max_weight=state.log_max_weight,
-            p_outside=state.p_outside,
-            mean_accept=1.0,
-        )
-        monkeypatch.setattr(sampler, "MAX_PROPOSALS", 10_000)
-        with pytest.raises(NonTerminating):
-            sampler.sample_hidden(broken, RngStream(0), size=10)
+        a = sampler.sample_hidden(state, RngStream(14, 2), size=1000)
+        b = sampler.sample_hidden(state, RngStream(14, 2), size=1000)
+        npt.assert_array_equal(a, b)
 
 
 class TestSampleConditional:
@@ -161,6 +170,14 @@ class TestSampleVisible:
         assert batch.model_fingerprint == test_model_1d.fingerprint()
         assert batch.p_outside <= 1e-10
         assert len(batch) == 100
+
+    def test_two_stage_composition(self, test_model_1d):
+        batch = sampler.sample_visible(test_model_1d, 500, RngStream(24))
+        gen = RngStream(24).generator()
+        state = HiddenSamplerState.from_model(test_model_1d)
+        hs = sampler.sample_hidden(state, gen, size=500)
+        vs = sampler.sample_conditional(test_model_1d, hs, gen, size=500)
+        npt.assert_array_equal(batch.samples, vs)
 
     def test_bit_identical_given_stream(self, test_model_1d):
         a = sampler.sample_visible(test_model_1d, 500, RngStream(42))
