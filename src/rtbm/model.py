@@ -248,13 +248,33 @@ class RtbmModel:
             t_inv_w = self._solve_t(self.w)
             omega = self.q - self.w.T @ t_inv_w
             omega = 0.5 * (omega + omega.T)  # derived matrix; round-off asymmetry is ours
-            self._cache[key] = SchurComplement(
-                t_inv_w=_freeze(t_inv_w),
-                omega=_freeze(omega),
-                omega_low=_freeze(numerics.cholesky(omega, "schur complement")),
-                bias=_freeze(self.bh - t_inv_w.T @ self.bv),
-            )
+            self._set_schur(t_inv_w, omega, numerics.cholesky(omega, "schur complement"))
         return self._cache[key]
+
+    def _set_schur(self, t_inv_w, omega, omega_low):
+        self._cache[("schur",)] = SchurComplement(
+            t_inv_w=_freeze(t_inv_w),
+            omega=_freeze(omega),
+            omega_low=_freeze(omega_low),
+            bias=_freeze(self.bh - t_inv_w.T @ self.bv),
+        )
+
+    @classmethod
+    def _from_factors(cls, t_low, s_low, w, bv, bh):
+        """Model with T = t_low t_low^T and Schur complement S = s_low s_low^T.
+
+        ``t_low`` and ``s_low`` must be lower triangular with a positive
+        diagonal.  Q is S + W^T T^{-1} W, so the model is valid by
+        construction.  The two factors become the model's cached factor of
+        T and its Schur pass, so neither T nor S is factored or formed again.
+        """
+        t_inv_w = scipy.linalg.cho_solve((t_low, True), w)
+        s = s_low @ s_low.T
+        q = s + w.T @ t_inv_w
+        m = cls(t_low @ t_low.T, 0.5 * (q + q.T), w, bv, bh)
+        m._cache[("chol_t",)] = _freeze(t_low)
+        m._set_schur(t_inv_w, 0.5 * (s + s.T), s_low)
+        return m
 
     def hidden_params(self, eps=theta.DEFAULT_EPS, budget=None):
         """Hidden-sector primal point set, cached per (epsilon, budget)."""
@@ -299,7 +319,8 @@ class RtbmModel:
         if key not in self._cache:
             sc = self.schur()
             dual = theta._dual_batch(
-                -sc.bias[None, :], sc.omega, eps, budget or lattice.POINT_BUDGET, chunk=1
+                -sc.bias[None, :], sc.omega, eps, budget or lattice.POINT_BUDGET, chunk=1,
+                low=sc.omega_low,
             )
             if dual is None:
                 return self.hidden_params(eps, budget).log_norm

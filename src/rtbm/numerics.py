@@ -44,26 +44,11 @@ def cholesky(m, name="matrix"):
         raise NotPositiveDefinite(f"{name} is not positive definite") from exc
 
 
-def is_positive_definite(m):
-    """True iff the (symmetrized) matrix admits a Cholesky factorization."""
-    try:
-        cholesky(m)
-    except (NotPositiveDefinite, NotSymmetric):
-        return False
-    return True
-
-
 def inverse(m, name="matrix"):
     """Inverse of a symmetric positive definite matrix, symmetrized."""
     low = cholesky(m, name)
     inv = scipy.linalg.cho_solve((low, True), np.eye(low.shape[0]))
     return 0.5 * (inv + inv.T)
-
-
-def log_determinant(m, name="matrix"):
-    """log det of a symmetric positive definite matrix via Cholesky."""
-    low = cholesky(m, name)
-    return 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
 def left_pseudo_inverse(a):

@@ -25,9 +25,19 @@ Gaussian against that count gives
 
     tail(R) <= sum_{k=0..g} C(g,k) (2/rho)^k 2^{k/2} Gamma(k/2+1, R^2/2),
 
-an upper incomplete gamma expression driven by rho.  The bound is valid for
-every R > 0, decreasing in R, and decreasing in rho, so coarser lattices
-never require a larger radius.
+an upper incomplete gamma expression driven by rho (Deconinck et al.,
+"Computing Riemann theta functions", Math. Comp. 73 (2004)).  The bound is
+valid for every R > 0, decreasing in R, and decreasing in rho, so coarser
+lattices never require a larger radius.
+
+Radius solve.  In x = R^2/2 every Gamma(k/2+1, x) is e^{-x} times a closed
+form in sqrt(x) (with erfcx for odd k), so the log bound and its slope cost
+a few float operations and cannot underflow.  The radius is the root of
+log bound = log eps, found by Newton's method in x from the asymptotic root
+of Gamma(s, x) ~ x^{s-1} e^{-x}, with a bracket and a bisection step
+whenever Newton leaves it.  It is aimed a hair inside eps, so round-off
+cannot undo the certificate, lands within 1e-7 (relative) above the
+smallest certified radius, and is checked once through ``log_bound``.
 
 Scaling convention.  Values are returned as (log_magnitude, phase); the
 certified ``tail_bound`` is the absolute error of the *reduced* sum, i.e.
@@ -71,6 +81,7 @@ from .numerics import as_sym, cholesky, solve_spd
 DEFAULT_EPS = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -101,52 +112,65 @@ class ThetaValue:
 
 
 class _TailBound:
-    """Certified reduced-tail bound for one (dimension, rho) pair.
-
-    Precomputes the per-order coefficients so that repeated evaluations
-    (radius bisection) cost one vectorized incomplete-gamma call each.
-    """
+    """Certified reduced-tail bound for one (dimension, rho) pair."""
 
     def __init__(self, g, rho):
         if rho <= 0.0:
             raise ValueError(f"rho must be positive, got {rho}")
-        self.g = g
-        ks = np.arange(g + 1, dtype=float)
-        self.s = 0.5 * ks + 1.0
-        self.log_gamma_s = scipy.special.gammaln(self.s)
-        self.log_coeff = (
-            np.log([math.comb(g, k) for k in range(g + 1)])
-            + ks * math.log(2.0 / rho)
-            + 0.5 * ks * math.log(2.0)
-        )
+        scale = 2.0 * math.sqrt(2.0) / rho
+        self.coeff = [math.comb(g, k) * scale**k for k in range(g + 1)]
+
+    def _log_bound_at(self, x):
+        """log of the bound at x = R^2/2, and its derivative in x.
+
+        e^x Gamma(s, x) runs up from 1 at s = 1 and sqrt(pi)/2 erfcx(sqrt(x))
+        + sqrt(x) at s = 3/2 by Gamma(s + 1, x) = s Gamma(s, x) + x^s e^{-x};
+        d/dx Gamma(s, x) = -x^{s-1} e^{-x}.
+        """
+        r = math.sqrt(x)
+        # e^x Gamma(s, x) for the next even and odd order, from s = 1 and 3/2
+        gam = [1.0, 0.5 * _SQRT_PI * float(scipy.special.erfcx(r)) + r]
+        total = slope = 0.0
+        power = 1.0  # r^k = x^{s-1}
+        for k, c in enumerate(self.coeff):
+            total += c * gam[k % 2]
+            slope += c * power
+            gam[k % 2] = (0.5 * k + 1.0) * gam[k % 2] + power * x
+            power *= r
+        return math.log(total) - x, -slope / total
 
     def log_bound(self, radius):
-        x = max(0.5 * radius * radius, 1e-300)
-        reg = scipy.special.gammaincc(self.s, x)
-        safe = np.where(reg > 0.0, reg, 1.0)
-        exact = np.log(safe) + self.log_gamma_s
-        # Underflow fallback: Gamma(s, x) <= 2 x^{s-1} e^{-x} for x >= 2(s-1).
-        capped = math.log(2.0) + (self.s - 1.0) * math.log(x) - x
-        terms = self.log_coeff + np.where(reg > 0.0, exact, capped)
-        m = terms.max()
-        return float(m + math.log(np.sum(np.exp(terms - m))))
+        return self._log_bound_at(0.5 * radius * radius)[0]
 
     def solve_radius(self, log_epsilon):
-        """Smallest radius (to ~0.1%) with log bound <= log_epsilon."""
-        lo, hi = 0.0, 4.0
-        while self.log_bound(hi) > log_epsilon:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e9:
-                raise ValueError("tail bound cannot reach requested epsilon")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.log_bound(mid) > log_epsilon:
-                lo = mid
+        """Smallest radius (to 1e-7 relative) with log bound <= log_epsilon.
+
+        Safeguarded Newton in x; see "Radius solve" in the module docstring.
+        """
+        target = log_epsilon - 1e-9 * (1.0 + abs(log_epsilon))
+        # one fixed-point step of x = -log_epsilon + log poly(x), the asymptotic root
+        x0 = max(-log_epsilon, 1.0)
+        poly = sum(c * x0 ** (0.5 * k) for k, c in enumerate(self.coeff))
+        x = max(-log_epsilon + math.log(poly), 0.0)
+        lo, hi = 0.0, math.inf  # log bound above target at lo, at most target at hi
+        for _ in range(200):
+            value, slope = self._log_bound_at(x)
+            if value > target:
+                lo = x
             else:
-                hi = mid
-            if hi - lo < 1e-3 * hi:
+                hi = x
+            newton = x - (value - target) / slope
+            if lo >= (1.0 - 1e-7) * hi or (x == hi and x - newton <= 1e-7 * x):
                 break
-        return hi
+            if x == lo:
+                newton *= 1.0 + 1e-8  # from below, land on the certified side
+            x = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not hi < 5e17:
+            raise ValueError("tail bound cannot reach requested epsilon")
+        radius = math.sqrt(2.0 * hi)
+        if self.log_bound(radius) > log_epsilon:
+            raise FloatingPointError("radius solve lost its certificate to round-off")
+        return radius
 
 
 def log_tail_bound(g, rho, radius):
@@ -285,17 +309,19 @@ def _cube_radius(omega):
     return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, omega, corners))))
 
 
-def _dual_batch(xs, omega, eps, budget, chunk):
+def _dual_batch(xs, omega, eps, budget, chunk, low=None):
     """Poisson-dual theta_tilde_batch for real arguments, or None.
 
     None means the dual form does not apply: det Omega >= (2 pi)^g, or the
     dual sum's k != 0 mass (enumerated weights plus certified tail) exceeds
     1/2, or the dual ellipsoid passes ``budget``.  Otherwise returns the
     (log_magnitude, phase, tail_bound) arrays, with the tail bound a
-    relative error below ``eps`` (see the module docstring).
+    relative error below ``eps`` (see the module docstring).  ``low`` is
+    the lower Cholesky factor of Omega when the caller already holds it.
     """
     g = omega.shape[0]
-    low = cholesky(omega, "omega")
+    if low is None:
+        low = cholesky(omega, "omega")
     log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
     if log_det >= g * _LOG_2PI:
         return None

@@ -5,7 +5,9 @@ metric only when every name it reads was found.  So renaming or deleting a
 wrapped name silently drops metrics from the benchmark's output.  This test
 runs one small round under the recorder and checks that every wrapped name
 exists and that every per-layer metric named in BENCHMARK.json comes out
-finite.
+finite.  As in the benchmark, the serve model is loaded and its caches warmed
+before the recorder is installed, so a metric that only a cold cache emits
+fails here as it would vanish from the traced run.
 """
 
 import json
@@ -34,11 +36,18 @@ def test_traced_round_emits_every_per_layer_metric():
     data = np.random.default_rng(1).gamma(7.5, 1.0, 500)
     cfg = train.TrainConfig(population=24, sigma0=0.5, max_evals=25, restarts=1, seed=1)
 
+    # warmed as perfbench/run.py set_up does
+    m = RtbmModel.from_dict(serve)
+    m.validate()
+    warm = sampler.sample_visible(m, 64, sampler.RngStream(0)).samples
+    m.log_pdf_visible(warm)
+    m.cdf_visible_1d(warm[:, 0])
+    m.hidden_covariance()
+
     rec = spans.SpanRecorder()
     spans.install(rec)
     try:
         train.fit(data, 2, cfg)
-        m = RtbmModel.from_dict(serve)
         x = sampler.sample_visible(m, 4000, sampler.RngStream(1)).samples[:, 0]
         m.log_pdf_visible(x[:300, None])
         m.cdf_visible_1d(x[:300])

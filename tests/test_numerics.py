@@ -23,6 +23,15 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             numerics.cholesky([[1.0, 2.0], [2.0, 1.0]])
 
+    def test_semidefinite_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            numerics.cholesky(np.zeros((2, 2)))
+
+    def test_strictly_diagonally_dominant(self):
+        # [[2,1],[1,2]] factors as [[sqrt 2, 0], [1/sqrt 2, sqrt(3/2)]]
+        low = numerics.cholesky([[2.0, 1.0], [1.0, 2.0]])
+        npt.assert_allclose(low, [[np.sqrt(2.0), 0.0], [np.sqrt(0.5), np.sqrt(1.5)]])
+
     def test_asymmetric_rejected(self):
         with pytest.raises(NotSymmetric):
             numerics.cholesky([[1.0, 0.5], [0.0, 1.0]])
@@ -33,18 +42,6 @@ class TestCholesky:
             m = random_pd_matrix(rng, int(rng.integers(1, 7)), ridge=0.1)
             low = numerics.cholesky(m)
             npt.assert_allclose(low @ low.T, 0.5 * (m + m.T), rtol=1e-10, atol=1e-12)
-
-
-class TestIsPositiveDefinite:
-    def test_identity(self):
-        assert numerics.is_positive_definite(np.eye(2))
-
-    def test_strictly_diagonally_dominant(self):
-        # eigenvalues 1 and 3 from the characteristic polynomial
-        assert numerics.is_positive_definite([[2.0, 1.0], [1.0, 2.0]])
-
-    def test_semidefinite_is_not_definite(self):
-        assert not numerics.is_positive_definite(np.zeros((2, 2)))
 
 
 class TestInverse:
@@ -113,26 +110,6 @@ class TestLeftPseudoInverse:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
             numerics.left_pseudo_inverse([[1.0, 1.0], [2.0, 2.0]])
-
-
-class TestLogDeterminant:
-    def test_identity(self):
-        assert numerics.log_determinant(np.eye(5)) == 0.0
-
-    def test_diagonal(self):
-        npt.assert_allclose(
-            numerics.log_determinant([[2.0, 0.0], [0.0, 4.0]]), np.log(8.0)
-        )
-
-    def test_two_by_two(self):
-        # det = 4*5 - 2*2 = 16
-        npt.assert_allclose(
-            numerics.log_determinant([[4.0, 2.0], [2.0, 5.0]]), np.log(16.0)
-        )
-
-    def test_not_pd_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            numerics.log_determinant([[0.0, 0.0], [0.0, 0.0]])
 
 
 class TestSymmetrization:

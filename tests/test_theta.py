@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +135,60 @@ class TestRadiusForEpsilon:
             r1 = theta.radius_for_epsilon(omega, 1e-12, theta._lattice_rho(omega))
             r4 = theta.radius_for_epsilon(4 * omega, 1e-12, theta._lattice_rho(4 * omega))
             assert r4 <= r1 + 1e-9
+
+
+def reference_log_tail_bound(g, rho, radius):
+    """The tail bound of the module docstring from scipy's regularized gamma."""
+    s = 0.5 * np.arange(g + 1) + 1.0
+    terms = (
+        np.log([math.comb(g, k) for k in range(g + 1)])
+        + np.arange(g + 1) * np.log(2.0 * np.sqrt(2.0) / rho)
+        + np.log(scipy.special.gammaincc(s, 0.5 * radius * radius))
+        + scipy.special.gammaln(s)
+    )
+    return float(scipy.special.logsumexp(terms))
+
+
+class TestRadiusSolve:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        g=st.integers(1, 4),
+        rho=st.floats(0.05, 20.0),
+        radius=st.floats(0.0, 14.0),
+    )
+    def test_log_bound_matches_incomplete_gamma(self, g, rho, radius):
+        got = theta._TailBound(g, rho).log_bound(radius)
+        npt.assert_allclose(got, reference_log_tail_bound(g, rho, radius), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        g=st.integers(1, 4),
+        rho=st.floats(0.05, 20.0),
+        log_eps=st.floats(-50.0, -2.0),
+        gap=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    )
+    def test_certified_tight_and_cheap(self, g, rho, log_eps, gap):
+        bound = theta._TailBound(g, rho)
+        calls = []
+
+        def counting(radius, _inner=bound.log_bound):
+            calls.append(radius)
+            return _inner(radius)
+
+        bound.log_bound = counting
+        target = log_eps - gap
+        radius = bound.solve_radius(target)
+        assert len(calls) <= 5
+        assert reference_log_tail_bound(g, rho, radius) <= target
+        # smallest certified radius, by bisection on the reference bound
+        lo, hi = 0.0, radius
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if reference_log_tail_bound(g, rho, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        assert radius <= hi * (1.0 + 1e-3)
 
 
 class TestThetaGradient:

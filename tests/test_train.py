@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 import scipy.stats
 
-from rtbm import train
+from rtbm import lattice, numerics, theta, train
 from rtbm.errors import ObjectiveNonFinite
 from rtbm.model import RtbmModel
 from rtbm.sampler import RngStream, sample_visible
@@ -39,6 +39,52 @@ class TestParamCodec:
         # lower triangles of T and S, W block, both biases
         assert train.param_dim(1, 2) == 1 + 3 + 2 + 1 + 2
         assert train.param_dim(2, 3) == 3 + 6 + 6 + 2 + 3
+
+
+class TestFactorHandOff:
+    """decode hands its factors of T and S to the model."""
+
+    def test_one_evaluation_factors_at_most_four_times(self, monkeypatch):
+        # one factor each for Q (validate), the dual lattices of S and Q,
+        # and Q in the numerator batch; T and S arrive from decode
+        calls = []
+
+        def counting(m, name="matrix", _inner=numerics.cholesky):
+            calls.append(name)
+            return _inner(m, name)
+
+        for module in (numerics, theta, train, lattice):
+            monkeypatch.setattr(module, "cholesky", counting)
+        data = np.random.default_rng(12).gamma(7.5, 1.0, 500)
+        rng = np.random.default_rng(11)
+        x0 = train._initial_vector(data.reshape(-1, 1), 1, 2, rng)
+        scored = 0
+        for vec in [x0] + [x0 + rng.normal(0.0, 0.3, x0.shape) for _ in range(15)]:
+            calls.clear()
+            cand = train.decode(vec, 1, 2)
+            if train._too_many_points(cand):
+                continue
+            nll = train.negative_log_likelihood(
+                cand, data, train.TRAIN_EPS, budget=train.TRAIN_POINT_BUDGET
+            )
+            assert np.isfinite(nll)
+            assert len(calls) <= 4, calls
+            scored += 1
+        assert scored >= 10
+
+    @pytest.mark.parametrize("nv,nh", [(1, 2), (2, 3)])
+    def test_cached_factors_match_fresh(self, nv, nh):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m = train.decode(rng.normal(0.0, 0.5, train.param_dim(nv, nh)), nv, nh)
+            fresh = RtbmModel(m.t, m.q, m.w, m.bv, m.bh)
+            pairs = [(m._t_cholesky(), fresh._t_cholesky())]
+            pairs += [
+                (getattr(m.schur(), f), getattr(fresh.schur(), f))
+                for f in ("t_inv_w", "omega", "omega_low", "bias")
+            ]
+            for got, want in pairs:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestNegativeLogLikelihood:
