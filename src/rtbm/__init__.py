@@ -21,7 +21,7 @@ from .errors import (
     TruncationMassTooLarge,
     UnsupportedDimension,
 )
-from .lattice import EllipsoidPointSet, enumerate_ellipsoid, lll_reduce, shortest_vector_estimate
+from .lattice import enumerate_ellipsoid, lll_reduce, shortest_vector_estimate
 from .model import HiddenGaussianParams, RtbmModel
 from .sampler import (
     HiddenSamplerState,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateBasis",
-    "EllipsoidPointSet",
     "FitResult",
     "HiddenGaussianParams",
     "HiddenSamplerState",

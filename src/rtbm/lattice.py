@@ -4,6 +4,8 @@ A lattice is represented by a real (g, g) basis matrix whose *rows* are the
 basis vectors; for a quadratic form Omega = L L^T the relevant lattice is
 generated by the rows of the Cholesky factor L.  The module provides
 
+  * ``Form``, where a positive definite Omega is factored and its log det,
+    inverse, shortest vector and Poisson-dual form are derived, once each,
   * LLL basis reduction (delta = 0.75 by default),
   * the exact shortest-vector length, scanned from the reduced basis, and
   * exhaustive enumeration of integer points inside an ellipsoid
@@ -12,12 +14,12 @@ generated by the rows of the Cholesky factor L.  The module provides
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DegenerateBasis, PointBudgetExceeded
-from .numerics import as_sym, cholesky
+from .numerics import cholesky
 
 #: Default Lovász parameter for LLL reduction.
 LLL_DELTA = 0.75
@@ -114,40 +116,74 @@ def shortest_vector_estimate(basis, delta=LLL_DELTA):
     return math.sqrt(float(((box @ gram) * box).sum(axis=1).min(initial=rho_sq)))
 
 
-@dataclass(frozen=True)
-class EllipsoidPointSet:
-    """All integer points n with (n - center)^T form (n - center) <= radius^2.
+class Form:
+    """A positive definite matrix Omega and everything derived from it.
 
-    ``points`` is an (N, g) integer array; the listed points are exactly the
-    solution set (exhaustive, distinct).  Callers must not rely on ordering.
+    ``matrix`` is Omega (symmetrized) and ``low`` its lower Cholesky factor.
+    ``log_det``, ``inverse``, ``rho`` (lambda_1 of the lattice spanned by the
+    rows of ``low``) and ``dual`` (the Form of 4 pi^2 Omega^{-1}) are computed
+    on first use and kept.  A given ``low`` is trusted, and ``matrix`` with
+    it.  Both arrays are read-only.
     """
 
-    center: np.ndarray
-    radius: float
-    form: np.ndarray
-    points: np.ndarray = field(repr=False)
+    def __init__(self, matrix, low=None, name="omega"):
+        if low is None:
+            low = cholesky(matrix, name)  # checks symmetry and definiteness
+            matrix = np.asarray(matrix, dtype=float)
+            matrix = 0.5 * (matrix + matrix.T)
+        for arr in (matrix, low):
+            arr.setflags(write=False)
+        self.matrix = matrix
+        self.low = low
 
-    def __len__(self):
-        return self.points.shape[0]
+    @classmethod
+    def of(cls, omega, name="omega"):
+        """``omega`` itself when it is a Form, else the Form of that matrix."""
+        return omega if isinstance(omega, cls) else cls(omega, name=name)
+
+    @functools.cached_property
+    def log_det(self):
+        return 2.0 * float(np.sum(np.log(np.diag(self.low))))
+
+    def solve(self, b):
+        """Omega^{-1} b, column by column for a matrix ``b``."""
+        return scipy.linalg.cho_solve((self.low, True), np.asarray(b, dtype=float))
+
+    @functools.cached_property
+    def inverse(self):
+        """Omega^{-1}, symmetrized."""
+        low_inv = scipy.linalg.solve_triangular(self.low, np.eye(self.low.shape[0]), lower=True)
+        inv = low_inv.T @ low_inv
+        return 0.5 * (inv + inv.T)
+
+    @functools.cached_property
+    def rho(self):
+        return shortest_vector_estimate(self.low)
+
+    @functools.cached_property
+    def dual(self):
+        return Form(4.0 * math.pi**2 * self.inverse, name="dual form")
 
 
 def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
-    """Enumerate integer lattice points inside a positive definite ellipsoid.
+    """All integer points n with (n - center)^T Omega (n - center) <= radius^2.
 
-    The form is Cholesky-factored and the last coordinate is fixed over its
-    admissible integer interval, recursing on the remaining section one
-    dimension lower; the innermost level emits a contiguous integer range.
+    ``form`` is Omega or its ``Form``.  With Omega = L L^T, the last
+    coordinate is fixed over its admissible integer interval, recursing on
+    the remaining section one dimension lower; the innermost level emits a
+    contiguous integer range.  Returns the (N, g) integer array of exactly
+    the solution set (exhaustive, distinct, in no promised order).
 
     Raises PointBudgetExceeded when the count passes ``budget``.
     """
-    omega = as_sym(form, "form")
+    form = Form.of(form, "form")
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    g = omega.shape[0]
+    g = form.matrix.shape[0]
     if center.shape != (g,):
         raise ValueError(f"center must have shape ({g},), got {center.shape}")
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    upper = cholesky(omega, "form").T  # (n-c)^T Omega (n-c) = ||U (n-c)||^2
+    upper = form.low.T  # (n-c)^T Omega (n-c) = ||U (n-c)||^2
 
     points = []
     count = [0]
@@ -185,11 +221,8 @@ def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
     # predicate, so boundary membership is decided by one code path only.
     r_sq = radius * radius
     recurse(g - 1, r_sq * (1.0 + 1e-12) + 1e-300, np.zeros(g))
-    if points:
-        pts = np.concatenate(points, axis=0)
-        diff = pts - center
-        q = np.einsum("ij,jk,ik->i", diff, omega, diff)
-        pts = pts[q <= r_sq]
-    else:
-        pts = np.empty((0, g), dtype=np.int64)
-    return EllipsoidPointSet(center=center, radius=float(radius), form=omega, points=pts)
+    if not points:
+        return np.empty((0, g), dtype=np.int64)
+    pts = np.concatenate(points, axis=0)
+    diff = pts - center
+    return pts[np.einsum("ij,jk,ik->i", diff, form.matrix, diff) <= r_sq]

@@ -19,14 +19,16 @@ closed forms:
     sum_h P(v | h) P(h), which collapses to a Gaussian prefactor times a
     ratio of two theta evaluations.
 
-The derived hidden-sector parameters (T^{-1} W, S, the Cholesky factor of S
-and b_h) come from one cached Schur pass per model, ``RtbmModel.schur``.
-The densities need only the value of theta_b, not its points: it comes from
-the primal point set when ``hidden_params`` has already built it, else from
-the Poisson-dual form of ``theta._dual_batch`` (certified relative error r,
-entered as log V + log1p(r) so that log_norm stays an upper bound on
-log theta_b), else from ``hidden_params``.  The sampler, the CDF, the hidden
-pmf, the characteristic functions and the moments use the primal point set.
+T, Q and S each have one cached ``lattice.Form`` per model, which derives
+the matrix's factor, log det, inverse, shortest vector and dual form once;
+S's is part of the one Schur pass, ``RtbmModel.schur``, with T^{-1} W and
+b_h.  The densities need only the value of theta_b, not its points: it
+comes from the primal point set when ``hidden_params`` has already built
+it, else from the Poisson-dual form of ``theta._dual_batch`` (certified
+relative error r, entered as log V + log1p(r) so that log_norm stays an
+upper bound on log theta_b), else from ``hidden_params``.  The sampler, the
+CDF, the hidden pmf, the characteristic functions and the moments use the
+primal point set.
 
 All densities are exposed in log domain; theta magnitudes can be
 astronomically large, but their logs and ratios are stable.  Only real
@@ -40,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from . import lattice, numerics, theta
@@ -59,14 +60,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class SchurComplement:
     """The hidden-sector parameters derived from (T, Q, W, B_v, B_h).
 
-    ``t_inv_w`` is T^{-1} W, ``omega`` the Schur complement
-    S = Q - W^T T^{-1} W (symmetrized), ``omega_low`` its lower Cholesky
-    factor and ``bias`` the linear term b_h = B_h - W^T T^{-1} B_v.
+    ``t_inv_w`` is T^{-1} W, ``form`` the ``lattice.Form`` of the Schur
+    complement S = Q - W^T T^{-1} W (symmetrized) and ``bias`` the linear
+    term b_h = B_h - W^T T^{-1} B_v.
     """
 
     t_inv_w: np.ndarray
-    omega: np.ndarray
-    omega_low: np.ndarray
+    form: lattice.Form
     bias: np.ndarray
 
 
@@ -94,7 +94,6 @@ class HiddenGaussianParams:
     max_log_weight: float
     log_norm: float
     p_outside: float
-    epsilon: float
 
 
 def _freeze(arr):
@@ -204,17 +203,16 @@ class RtbmModel:
         """
         violations = []
         margins = {}
-        factors = {"t": self._t_cholesky, "q": lambda: numerics.cholesky(self.q, "q")}
-        for name, factor in factors.items():
+        for name in ("t", "q"):
             try:
-                margins[name] = float(np.min(np.diag(factor())))
+                margins[name] = float(np.min(np.diag(self._form(name).low)))
             except NotSymmetric:
                 violations.append(f"{name} is not symmetric")
             except NotPositiveDefinite:
                 violations.append(f"{name} is not positive definite")
         if "t" in margins:
             try:
-                margins["s"] = float(np.min(np.diag(self.schur().omega_low)))
+                margins["s"] = float(np.min(np.diag(self.schur().form.low)))
             except (NotPositiveDefinite, NotSymmetric):
                 violations.append(
                     "schur complement q - w^T t^{-1} w is not positive definite"
@@ -238,24 +236,30 @@ class RtbmModel:
 
     # -- derived parameters --------------------------------------------------
 
+    def _form(self, name):
+        """The ``lattice.Form`` of T or Q (``name`` "t" or "q"), cached."""
+        key = ("form", name)
+        if key not in self._cache:
+            self._cache[key] = lattice.Form(getattr(self, name), name=name)
+        return self._cache[key]
+
     def schur(self):
-        """The Schur pass (T^{-1} W, S, its Cholesky factor, b_h), cached.
+        """The Schur pass (T^{-1} W, the Form of S, b_h), cached.
 
         Raises NotPositiveDefinite when T or S is not positive definite.
         """
         key = ("schur",)
         if key not in self._cache:
-            t_inv_w = self._solve_t(self.w)
+            t_inv_w = self._form("t").solve(self.w)
             omega = self.q - self.w.T @ t_inv_w
             omega = 0.5 * (omega + omega.T)  # derived matrix; round-off asymmetry is ours
-            self._set_schur(t_inv_w, omega, numerics.cholesky(omega, "schur complement"))
+            self._set_schur(t_inv_w, lattice.Form(omega, name="schur complement"))
         return self._cache[key]
 
-    def _set_schur(self, t_inv_w, omega, omega_low):
+    def _set_schur(self, t_inv_w, form):
         self._cache[("schur",)] = SchurComplement(
             t_inv_w=_freeze(t_inv_w),
-            omega=_freeze(omega),
-            omega_low=_freeze(omega_low),
+            form=form,
             bias=_freeze(self.bh - t_inv_w.T @ self.bv),
         )
 
@@ -265,15 +269,16 @@ class RtbmModel:
 
         ``t_low`` and ``s_low`` must be lower triangular with a positive
         diagonal.  Q is S + W^T T^{-1} W, so the model is valid by
-        construction.  The two factors become the model's cached factor of
-        T and its Schur pass, so neither T nor S is factored or formed again.
+        construction.  The two factors seed the Forms of T and S (the latter
+        in the Schur pass), so neither T nor S is factored or formed again.
         """
-        t_inv_w = scipy.linalg.cho_solve((t_low, True), w)
+        t_form = lattice.Form(t_low @ t_low.T, low=t_low)
+        t_inv_w = t_form.solve(w)
         s = s_low @ s_low.T
         q = s + w.T @ t_inv_w
-        m = cls(t_low @ t_low.T, 0.5 * (q + q.T), w, bv, bh)
-        m._cache[("chol_t",)] = _freeze(t_low)
-        m._set_schur(t_inv_w, 0.5 * (s + s.T), s_low)
+        m = cls(t_form.matrix, 0.5 * (q + q.T), w, bv, bh)
+        m._cache[("form", "t")] = t_form
+        m._set_schur(t_inv_w, lattice.Form(0.5 * (s + s.T), low=s_low))
         return m
 
     def hidden_params(self, eps=theta.DEFAULT_EPS, budget=None):
@@ -283,14 +288,14 @@ class RtbmModel:
         if key not in self._cache:
             sc = self.schur()
             data = theta._theta_sum(
-                -sc.bias, sc.omega, eps, budget=budget or lattice.POINT_BUDGET
+                -sc.bias, sc.form, eps, budget=budget or lattice.POINT_BUDGET
             )
             tail = data.value.tail_bound
             reduced = abs(data.reduced_sum)
             log_norm = data.max_log_weight + math.log(reduced + tail)
             p_outside = tail / (reduced + tail)
             self._cache[key] = HiddenGaussianParams(
-                omega=sc.omega,
+                omega=sc.form.matrix,
                 bias=sc.bias,
                 theta_value=data.value,
                 points=data.points,
@@ -298,7 +303,6 @@ class RtbmModel:
                 max_log_weight=data.max_log_weight,
                 log_norm=log_norm,
                 p_outside=p_outside,
-                epsilon=eps,
             )
         return self._cache[key]
 
@@ -319,8 +323,7 @@ class RtbmModel:
         if key not in self._cache:
             sc = self.schur()
             dual = theta._dual_batch(
-                -sc.bias[None, :], sc.omega, eps, budget or lattice.POINT_BUDGET, chunk=1,
-                low=sc.omega_low,
+                -sc.bias[None, :], sc.form, eps, budget or lattice.POINT_BUDGET, chunk=1
             )
             if dual is None:
                 return self.hidden_params(eps, budget).log_norm
@@ -328,21 +331,9 @@ class RtbmModel:
             self._cache[key] = float(log_mag[0]) + math.log1p(float(rel[0]))
         return self._cache[key]
 
-    def _t_cholesky(self):
-        """Lower Cholesky factor of T, cached: the one factorization of T."""
-        key = ("chol_t",)
-        if key not in self._cache:
-            self._cache[key] = numerics.cholesky(self.t, "t")
-        return self._cache[key]
-
-    def _solve_t(self, b):
-        """T^{-1} b from the cached factor of T."""
-        return scipy.linalg.cho_solve((self._t_cholesky(), True), np.asarray(b, dtype=float))
-
     def _log_gauss_norm(self):
         """1/2 (log det T - nv log 2 pi), the log normalizer of N(., T^{-1})."""
-        log_det = 2.0 * float(np.sum(np.log(np.diag(self._t_cholesky()))))
-        return 0.5 * (log_det - self.nv * _LOG_2PI)
+        return 0.5 * (self._form("t").log_det - self.nv * _LOG_2PI)
 
     # -- densities ----------------------------------------------------------
 
@@ -360,12 +351,12 @@ class RtbmModel:
         self._require_valid()
         v, single = _as_batch(v, self.nv, "v")
         log_norm = self._log_norm(eps, budget)
-        u = v + self._solve_t(self.bv)
+        u = v + self._form("t").solve(self.bv)
         quad = np.einsum("ij,jk,ik->i", u, self.t, u)
         log_gauss = self._log_gauss_norm() - 0.5 * quad
         zs = v @ self.w + self.bh
         log_num, _, _ = theta.theta_tilde_batch(
-            zs, self.q, eps, budget=budget or lattice.POINT_BUDGET
+            zs, self._form("q"), eps, budget=budget or lattice.POINT_BUDGET
         )
         out = log_gauss + log_num - log_norm
         return float(out[0]) if single else out
@@ -385,7 +376,7 @@ class RtbmModel:
         """mu(h) = -T^{-1} (W h + B_v), the mean of P(v | h)."""
         self._require_valid()
         hh, single = _as_batch(h, self.nh, "h")
-        mu = -self._solve_t((hh @ self.w.T + self.bv).T).T
+        mu = -self._form("t").solve((hh @ self.w.T + self.bv).T).T
         return mu[0] if single else mu
 
     def log_pdf_conditional(self, v, h):
@@ -405,12 +396,12 @@ class RtbmModel:
         if r.shape != (self.nv,):
             raise ValueError(f"r must have shape ({self.nv},), got {r.shape}")
         hp = self.hidden_params(eps)
-        t_inv_bv = self._solve_t(self.bv)
-        t_inv_r = self._solve_t(r)
+        t_inv_bv = self._form("t").solve(self.bv)
+        t_inv_r = self._form("t").solve(r)
         # theta_tilde is even in z; evaluating at -(bias) - i W^T T^{-1} r makes
         # r = 0 reuse the cached normalizer evaluation exactly, so phi(0) = 1.
         z_num = -hp.bias - 1j * (self.w.T @ t_inv_r)
-        num = theta.theta_tilde(z_num, hp.omega, eps)
+        num = theta.theta_tilde(z_num, self.schur().form, eps)
         den = hp.theta_value
         log_phi = (
             -1j * (r @ t_inv_bv)
@@ -426,7 +417,7 @@ class RtbmModel:
         if r.shape != (self.nh,):
             raise ValueError(f"r must have shape ({self.nh},), got {r.shape}")
         hp = self.hidden_params(eps)
-        num = theta.theta_tilde(-hp.bias + 1j * r, hp.omega, eps)
+        num = theta.theta_tilde(-hp.bias + 1j * r, self.schur().form, eps)
         return complex(np.exp(num.log_complex - hp.theta_value.log_complex))
 
     # -- hidden moments --------------------------------------------------------
@@ -434,13 +425,13 @@ class RtbmModel:
     def hidden_mean(self, eps=theta.DEFAULT_EPS):
         """E[h], from the gradient of log theta at the hidden-sector argument."""
         hp = self.hidden_params(eps)
-        grad, _ = theta.theta_tilde_grad(-hp.bias, hp.omega, eps)
+        grad, _ = theta.theta_tilde_grad(-hp.bias, self.schur().form, eps)
         return grad.real
 
     def hidden_covariance(self, eps=theta.DEFAULT_EPS):
         """cov(h), second-moment theta ratios minus the mean outer product."""
         hp = self.hidden_params(eps)
-        second, _ = theta.theta_tilde_hess(-hp.bias, hp.omega, eps)
+        second, _ = theta.theta_tilde_hess(-hp.bias, self.schur().form, eps)
         mean = self.hidden_mean(eps)
         cov = second.real - np.outer(mean, mean)
         return 0.5 * (cov + cov.T)
@@ -464,10 +455,9 @@ class RtbmModel:
         if b.shape != (a.shape[0],):
             raise ValueError(f"shift must have shape ({a.shape[0]},), got {b.shape}")
         a_plus = numerics.left_pseudo_inverse(a)  # raises RankDeficient
-        t_inv = numerics.inverse(self.t, "t")
-        t_inv_new = numerics.as_sym(a @ t_inv @ a.T, "transformed t^{-1}")
+        t_inv_new = a @ self._form("t").inverse @ a.T
         try:
-            t_new = numerics.inverse(t_inv_new, "transformed t^{-1}")
+            t_new = lattice.Form(t_inv_new, name="transformed t^{-1}").inverse
         except NotPositiveDefinite as exc:
             raise InvalidModel(
                 "transformed precision is not positive definite "

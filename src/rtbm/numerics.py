@@ -44,13 +44,6 @@ def cholesky(m, name="matrix"):
         raise NotPositiveDefinite(f"{name} is not positive definite") from exc
 
 
-def inverse(m, name="matrix"):
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    low = cholesky(m, name)
-    inv = scipy.linalg.cho_solve((low, True), np.eye(low.shape[0]))
-    return 0.5 * (inv + inv.T)
-
-
 def left_pseudo_inverse(a):
     """Left pseudo-inverse (a^T a)^{-1} a^T of a full-column-rank matrix.
 

@@ -115,7 +115,7 @@ def sample_conditional(m, h, rng, size=None):
     """
     gen = _as_generator(rng)
     mu = m.conditional_mean(np.asarray(h, dtype=float))  # validates the model
-    low = m._t_cholesky()
+    low = m._form("t").low
     n = 1 if size is None else int(size)
     xi = gen.standard_normal((n, m.nv))
     dev = scipy.linalg.solve_triangular(low.T, xi.T, lower=False).T

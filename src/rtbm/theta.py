@@ -58,7 +58,10 @@ or enlargement.  Point counts scale as sqrt(det Omega) / (2 pi)^g against
 1 / sqrt(det Omega) for the primal sum, so ``theta_tilde_batch`` uses the
 dual for real arguments when log det Omega < g log(2 pi).  Certificate: the
 k-set is the ellipsoid of A at the radius where the tail bound above, with
-rho the shortest vector of the A-lattice, is tail <= eps/2.  With
+rho the shortest vector of the A-lattice, is tail <= eps/2.  A, with its
+factor and rho, is ``lattice.Form.dual`` of Omega's Form, and log det Omega
+and Omega^{-1} come from that Form too, so a caller that keeps the Form
+(the model keeps one per matrix) derives each of them once.  With
 ``others`` the enumerated k != 0 weights plus that tail, the dual sum is at
 least 1 - others; the form is used only when others <= 1/2, and the
 returned bound tail / (1 - others) <= eps is then a relative error bound,
@@ -70,12 +73,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from . import lattice
 from .errors import PointBudgetExceeded
-from .numerics import as_sym, cholesky, solve_spd
+# perfbench/spans.py wraps cholesky and solve_spd in every module that binds
+# them, so they stay bound here although every factor comes from lattice.Form.
+from .numerics import as_sym, cholesky, solve_spd  # noqa: F401
 
 #: Default requested tail error for theta evaluations.
 DEFAULT_EPS = 1e-12
@@ -193,35 +197,49 @@ def radius_for_epsilon(omega, epsilon, rho):
     return _TailBound(g, rho).solve_radius(math.log(epsilon))
 
 
-def _lattice_rho(omega):
-    """Shortest nonzero vector length of the Cholesky-factor lattice of omega."""
-    low = cholesky(omega, "omega")
-    return lattice.shortest_vector_estimate(low)
-
-
 @dataclass(frozen=True)
 class ThetaSum:
     """Value of one theta evaluation together with its summation data.
 
     ``points`` are the enumerated integer vectors, ``log_weights`` their real
-    exponents -1/2 n^T Omega n + n^T Re(z); the reduced sum and the maximum
-    exponent reconstruct the value.  Shared by the discrete sampler and the
-    hidden-sector moments so that certification and sampling use one point
-    set.
+    exponents -1/2 n^T Omega n + n^T Re(z) and ``terms`` their reduced terms
+    exp(exponent - max_log_weight) (complex for complex z), which add up to
+    ``reduced_sum``.  Shared by the discrete sampler and the hidden-sector
+    moments so that certification and sampling use one point set.
     """
 
     value: ThetaValue
     points: np.ndarray
     log_weights: np.ndarray
     max_log_weight: float
+    terms: np.ndarray
     reduced_sum: complex
-    center: np.ndarray
+
+
+class _Centers:
+    """Ellipsoid centers c = Omega^{-1} x of real arguments (rows of xs).
+
+    ``gaps`` bound how far the best integer exponent (at least the one at the
+    rounded center ``shifts``) falls below its continuous maximum ``e_cont``
+    at c; ``radius`` folds the largest gap into the certified tail bound.
+    """
+
+    def __init__(self, form, xs, eps):
+        self.centers = form.solve(xs.T).T
+        self.shifts = np.round(self.centers)
+        self.e_cont = 0.5 * np.einsum("ij,ij->i", xs, self.centers)
+        e_round = -0.5 * np.einsum("ij,jk,ik->i", self.shifts, form.matrix, self.shifts)
+        e_round += np.einsum("ij,ij->i", self.shifts, xs)
+        self.gaps = np.maximum(self.e_cont - e_round, 0.0)
+        self.gap_ub = float(np.max(self.gaps))
+        self.bound = _TailBound(xs.shape[1], form.rho)
+        self.radius = self.bound.solve_radius(math.log(eps) - self.gap_ub)
 
 
 def _theta_sum(z, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     """Evaluate theta_tilde and keep the enumerated point data."""
-    omega = as_sym(omega, "omega")
-    g = omega.shape[0]
+    form = lattice.Form.of(omega)
+    g = form.matrix.shape[0]
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (g,):
         raise ValueError(f"z must have shape ({g},), got {z.shape}")
@@ -229,33 +247,21 @@ def _theta_sum(z, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
         raise ValueError(f"epsilon must be positive, got {eps}")
     x, y = z.real, z.imag
 
-    rho = _lattice_rho(omega)
-    c = solve_spd(omega, x, "omega")
-    # Upper bound on the gap between the continuous exponent maximum and the
-    # best integer exponent; folded into the radius so the certified bound
-    # stays below eps on the reduced-sum scale.
-    e_cont = 0.5 * float(x @ c)
-    n0 = np.round(c)
-    e_round = float(-0.5 * n0 @ omega @ n0 + n0 @ x)
-    gap_ub = max(e_cont - e_round, 0.0)
-    bound = _TailBound(g, rho)
-    radius = bound.solve_radius(math.log(eps) - gap_ub)
-
-    pts = lattice.enumerate_ellipsoid(omega, c, radius, budget=budget).points
-    log_w = -0.5 * np.einsum("ij,jk,ik->i", pts, omega, pts) + pts @ x
+    cs = _Centers(form, x[None, :], eps)
+    pts = lattice.enumerate_ellipsoid(form, cs.centers[0], cs.radius, budget=budget)
+    log_w = -0.5 * np.einsum("ij,jk,ik->i", pts, form.matrix, pts) + pts @ x
     m = float(np.max(log_w))
-    shifted = np.exp(log_w - m)
+    terms = np.exp(log_w - m)
     if np.any(y):
-        reduced = complex(np.sum(shifted * np.exp(1j * (pts @ y))))
-    else:
-        reduced = complex(np.sum(shifted))
-    tail = math.exp(bound.log_bound(radius) + (e_cont - m))
+        terms = terms * np.exp(1j * (pts @ y))
+    reduced = complex(np.sum(terms))
+    tail = math.exp(cs.bound.log_bound(cs.radius) + (cs.e_cont[0] - m))
     mag = abs(reduced)
     value = ThetaValue(
         log_magnitude=m + (math.log(mag) if mag > 0.0 else -math.inf),
         phase=float(np.angle(reduced)),
         tail_bound=tail,
-        radius=float(radius),
+        radius=float(cs.radius),
         point_count=pts.shape[0],
     )
     return ThetaSum(
@@ -263,13 +269,16 @@ def _theta_sum(z, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
         points=pts,
         log_weights=log_w,
         max_log_weight=m,
+        terms=terms,
         reduced_sum=reduced,
-        center=c,
     )
 
 
 def theta_tilde(z, omega, eps=DEFAULT_EPS):
-    """theta_tilde(z | Omega) with a certified tail bound below ``eps``."""
+    """theta_tilde(z | Omega) with a certified tail bound below ``eps``.
+
+    Here and in the other evaluators ``omega`` may be a ``lattice.Form``.
+    """
     return _theta_sum(z, omega, eps).value
 
 
@@ -280,23 +289,15 @@ def theta_tilde_grad(z, omega, eps=DEFAULT_EPS):
     over the same point set as the value sum.
     """
     data = _theta_sum(z, omega, eps)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.exp(data.log_weights - data.max_log_weight).astype(complex)
-    if np.any(zz.imag):
-        w = w * np.exp(1j * (data.points @ zz.imag))
-    grad = (data.points.T @ w) / data.reduced_sum
+    grad = (data.points.T @ data.terms) / data.reduced_sum
     return grad, data.value
 
 
 def theta_tilde_hess(z, omega, eps=DEFAULT_EPS):
     """Second-moment ratios (sum n_i n_j w_n) / (sum w_n), plus the value."""
     data = _theta_sum(z, omega, eps)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.exp(data.log_weights - data.max_log_weight).astype(complex)
-    if np.any(zz.imag):
-        w = w * np.exp(1j * (data.points @ zz.imag))
     pts = data.points.astype(float)
-    hess = (pts.T * w) @ pts / data.reduced_sum
+    hess = (pts.T * data.terms) @ pts / data.reduced_sum
     return 0.5 * (hess + hess.T), data.value
 
 
@@ -309,49 +310,40 @@ def _cube_radius(omega):
     return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, omega, corners))))
 
 
-def _dual_batch(xs, omega, eps, budget, chunk, low=None):
-    """Poisson-dual theta_tilde_batch for real arguments, or None.
+def _dual_batch(xs, form, eps, budget, chunk):
+    """Poisson-dual theta_tilde_batch for real arguments over ``form``, or None.
 
     None means the dual form does not apply: det Omega >= (2 pi)^g, or the
     dual sum's k != 0 mass (enumerated weights plus certified tail) exceeds
     1/2, or the dual ellipsoid passes ``budget``.  Otherwise returns the
     (log_magnitude, phase, tail_bound) arrays, with the tail bound a
-    relative error below ``eps`` (see the module docstring).  ``low`` is
-    the lower Cholesky factor of Omega when the caller already holds it.
+    relative error below ``eps`` (see the module docstring).
     """
-    g = omega.shape[0]
-    if low is None:
-        low = cholesky(omega, "omega")
-    log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
-    if log_det >= g * _LOG_2PI:
+    g = form.matrix.shape[0]
+    if form.log_det >= g * _LOG_2PI:
         return None
-    low_inv = scipy.linalg.solve_triangular(low, np.eye(g), lower=True)
-    omega_inv = low_inv.T @ low_inv
-    # Dual form A = 4 pi^2 Omega^{-1}; the rows of 2 pi L^{-T} span its lattice.
-    rho = lattice.shortest_vector_estimate(2.0 * math.pi * low_inv.T)
+    rho = form.dual.rho
     if 2.0 * math.exp(-0.5 * rho * rho) > 0.5:
         return None  # the pair +-k of shortest dual vectors alone breaks the guard
     bound = _TailBound(g, rho)
     radius = bound.solve_radius(math.log(0.5 * eps))
     tail = math.exp(bound.log_bound(radius))
     try:
-        ks = lattice.enumerate_ellipsoid(
-            4.0 * math.pi**2 * omega_inv, np.zeros(g), radius, budget=budget
-        ).points
+        ks = lattice.enumerate_ellipsoid(form.dual, np.zeros(g), radius, budget=budget)
     except PointBudgetExceeded:
         return None
     # One k of each pair +-k (first nonzero coordinate positive); the cosine
     # is even in k, so the pair contributes twice the kept term.
     lead = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
     half = ks[lead > 0].astype(float)
-    quad = np.einsum("ij,jk,ik->i", half, omega_inv, half)
+    quad = np.einsum("ij,jk,ik->i", half, form.inverse, half)
     weights = 2.0 * np.exp(-2.0 * math.pi**2 * quad)
     others = float(np.sum(weights)) + tail
     if others > 0.5:
         return None
 
-    ys = xs @ omega_inv
-    log_mag = 0.5 * (g * _LOG_2PI - log_det) + 0.5 * np.einsum("ij,ij->i", xs, ys)
+    ys = xs @ form.inverse
+    log_mag = 0.5 * (g * _LOG_2PI - form.log_det) + 0.5 * np.einsum("ij,ij->i", xs, ys)
     chunk = max(1, min(chunk, int(4e6 // max(half.shape[0], 1))))  # cap scratch memory
     for start in range(0, xs.shape[0], chunk):
         end = min(start + chunk, xs.shape[0])
@@ -370,42 +362,36 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     origin, enlarged by the half-unit-cube radius, and shifts it by the
     rounded ellipsoid center of every argument.  The certified tail bound
     of each evaluation is below ``eps``.  Returns (log_magnitude, phase,
-    tail_bound) arrays.
+    tail_bound) arrays; an empty batch gives empty arrays.
     """
-    omega = as_sym(omega, "omega")
+    form = lattice.Form.of(omega)
+    omega = form.matrix
     g = omega.shape[0]
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     if zs.shape[1] != g:
         raise ValueError(f"arguments must have {g} columns, got {zs.shape[1]}")
     if eps <= 0.0:
         raise ValueError(f"epsilon must be positive, got {eps}")
+    n = zs.shape[0]
+    if n == 0:
+        return np.empty(0), np.empty(0), np.empty(0)
     xs, ys = zs.real, zs.imag
     complex_args = bool(np.any(ys))
     if not complex_args:
-        dual = _dual_batch(xs, omega, eps, budget, chunk)
+        dual = _dual_batch(xs, form, eps, budget, chunk)
         if dual is not None:
             return dual
 
-    rho = _lattice_rho(omega)
-    centers = solve_spd(omega, xs.T, "omega").T
-    shifts = np.round(centers)
-    e_cont = 0.5 * np.einsum("ij,ij->i", xs, centers)
-    e_round = (
-        -0.5 * np.einsum("ij,jk,ik->i", shifts, omega, shifts)
-        + np.einsum("ij,ij->i", shifts, xs)
-    )
-    gaps = np.maximum(e_cont - e_round, 0.0)
-    gap_ub = float(np.max(gaps))
-    bound = _TailBound(g, rho)
-    radius = bound.solve_radius(math.log(eps) - gap_ub)
+    cs = _Centers(form, xs, eps)
+    shifts, e_cont, gaps = cs.shifts, cs.e_cont, cs.gaps
     base = lattice.enumerate_ellipsoid(
-        omega, np.zeros(g), radius + _cube_radius(omega), budget=budget
-    ).points
+        form, np.zeros(g), cs.radius + _cube_radius(omega), budget=budget
+    )
     if base.shape[0] == 0:
         raise PointBudgetExceeded("empty base point set")
     base_f = base.astype(float)
     base_q = 0.5 * np.einsum("ij,jk,ik->i", base_f, omega, base_f)
-    log_tail = bound.log_bound(radius)
+    log_tail = cs.bound.log_bound(cs.radius)
 
     # exponent(i, k) = -1/2 (s_i + b_k)^T Omega (s_i + b_k) + (s_i + b_k)^T x_i
     #               = b_k^T (x_i - Omega s_i) + [s_i^T x_i - 1/2 s_i^T Omega s_i]
@@ -414,7 +400,6 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     # serves as the log-sum-exp reference without a max pass; the reduced sum
     # then lies in [exp(-gap_i), point count], safely inside double range.
     chunk = max(1, min(chunk, int(4e6 // max(base.shape[0], 1))))  # cap scratch memory
-    n = zs.shape[0]
     log_mag = np.empty(n)
     phase = np.empty(n)
     tail = np.empty(n)
@@ -431,7 +416,7 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
         expo += row[:, None]
         expo -= base_q[None, :]
         ref = e_cont[start:end].copy()
-        if gap_ub > 600.0:
+        if cs.gap_ub > 600.0:
             # Reduced terms would underflow; fall back to an exact max pass.
             shift_m = np.max(expo, axis=1)
             expo -= shift_m[:, None]

@@ -54,7 +54,7 @@ def param_dim(nv, nh):
 def encode(m):
     """Flatten a valid model into an unconstrained parameter vector."""
     parts = []
-    for low in (m._t_cholesky(), m.schur().omega_low):
+    for low in (m._form("t").low, m.schur().form.low):
         packed = low[_tril_indices(low.shape[0])].copy()
         diag_pos = np.cumsum(np.arange(1, low.shape[0] + 1)) - 1
         packed[diag_pos] = np.log(np.diag(low))
@@ -76,8 +76,8 @@ def _unpack_cholesky(packed, n):
 def decode(vec, nv, nh):
     """Rebuild a model from a flat vector; valid by construction.
 
-    The unpacked factors of T and S become the model's cached factor of T
-    and its Schur pass, so the likelihood factors neither again.
+    The unpacked factors of T and S seed the model's Forms of T and S, so
+    the likelihood factors neither again.
     """
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (param_dim(nv, nh),):
@@ -298,15 +298,14 @@ def _too_many_points(m, eps=TRAIN_EPS, budget=TRAIN_POINT_BUDGET):
     spending seconds enumerating a doomed model.  The primal ellipsoid of the
     visible numerator, over Q, never has a larger estimate: S = Q - W^T T^{-1} W
     <= Q gives S_ii <= Q_ii, hence a smaller rho bound and a larger radius for
-    S, and det S <= det Q.  S's Cholesky factor comes from the model's
-    cached Schur pass, which the likelihood then reuses.
+    S, and det S <= det Q.  S's factor and log det come from the Form of
+    the model's cached Schur pass, which the likelihood then reuses.
     """
     g = m.nh
-    low = m.schur().omega_low
-    rho_ub = float(np.min(np.linalg.norm(low, axis=1)))
+    form = m.schur().form
+    rho_ub = float(np.min(np.linalg.norm(form.low, axis=1)))
     radius = theta._TailBound(g, rho_ub).solve_radius(math.log(eps))
-    log_det = 2.0 * float(np.sum(np.log(np.diag(low))))
-    log_count = _log_ball_volume(g) + g * math.log(radius + 1.0) - 0.5 * log_det
+    log_count = _log_ball_volume(g) + g * math.log(radius + 1.0) - 0.5 * form.log_det
     return log_count > math.log(budget)
 
 

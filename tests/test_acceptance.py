@@ -136,7 +136,7 @@ def test_criterion_02_enumeration_exhaustiveness():
         omega = random_pd_matrix(rng, g, ridge=0.3)
         center = rng.uniform(-2, 2, g)
         radius = float(rng.uniform(0.5, 2.8))
-        ours = {tuple(p) for p in lattice.enumerate_ellipsoid(omega, center, radius).points}
+        ours = {tuple(p) for p in lattice.enumerate_ellipsoid(omega, center, radius)}
         brute = {tuple(p) for p in brute_force_ellipsoid(omega, center, radius)}
         assert ours == brute, f"set mismatch at g={g}"
         checked += len(brute)

@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtbm import lattice
+from rtbm import lattice, theta
 from rtbm.errors import DegenerateBasis, PointBudgetExceeded
 
 from conftest import brute_force_ellipsoid, random_pd_matrix
@@ -150,17 +152,17 @@ class TestShortestVectorEstimate:
 class TestEnumerateEllipsoid:
     def test_one_dim_interval(self):
         out = lattice.enumerate_ellipsoid([[1.0]], [0.0], 3.5)
-        npt.assert_array_equal(np.sort(out.points[:, 0]), np.arange(-3, 4))
+        npt.assert_array_equal(np.sort(out[:, 0]), np.arange(-3, 4))
 
     def test_unit_circle(self):
         out = lattice.enumerate_ellipsoid(np.eye(2), [0.0, 0.0], 1.0)
-        got = {tuple(p) for p in out.points}
+        got = {tuple(p) for p in out}
         assert got == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_shifted_center_matches_brute_force(self):
         out = lattice.enumerate_ellipsoid([[2.0, 0.0], [0.0, 2.0]], [0.3, 0.0], 2.0)
         expected = brute_force_ellipsoid(np.diag([2.0, 2.0]), [0.3, 0.0], 2.0)
-        assert {tuple(p) for p in out.points} == {tuple(p) for p in expected}
+        assert {tuple(p) for p in out} == {tuple(p) for p in expected}
 
     def test_exhaustive_random(self):
         rng = np.random.default_rng(4)
@@ -171,17 +173,17 @@ class TestEnumerateEllipsoid:
             radius = float(rng.uniform(0.5, 2.5))
             out = lattice.enumerate_ellipsoid(omega, center, radius)
             expected = brute_force_ellipsoid(omega, center, radius)
-            assert {tuple(p) for p in out.points} == {tuple(p) for p in expected}
+            assert {tuple(p) for p in out} == {tuple(p) for p in expected}
 
     def test_all_points_satisfy_bound(self):
         rng = np.random.default_rng(5)
         omega = random_pd_matrix(rng, 3, ridge=0.3)
         center = rng.uniform(-1, 1, 3)
         out = lattice.enumerate_ellipsoid(omega, center, 2.5)
-        diff = out.points - center
+        diff = out - center
         q = np.einsum("ij,jk,ik->i", diff, omega, diff)
         assert np.all(q <= 2.5**2)
-        assert len({tuple(p) for p in out.points}) == len(out)
+        assert len({tuple(p) for p in out}) == len(out)
 
     def test_budget_enforced(self):
         with pytest.raises(PointBudgetExceeded):
@@ -190,3 +192,53 @@ class TestEnumerateEllipsoid:
     def test_empty_result_allowed(self):
         out = lattice.enumerate_ellipsoid([[1.0]], [0.5], 0.2)
         assert len(out) == 0
+
+
+@st.composite
+def pd_matrices(draw):
+    """A random positive definite (g, g) matrix, g = 1-4, and a generator."""
+    g = draw(st.integers(1, 4))
+    ridge = draw(st.floats(0.3, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_pd_matrix(rng, g, ridge=ridge), rng
+
+
+class TestForm:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=pd_matrices())
+    def test_derived_quantities_match_independent_ones(self, case):
+        omega, _ = case
+        form = lattice.Form(omega)
+        # relative, with an absolute floor where log det passes through 0
+        npt.assert_allclose(form.log_det, np.linalg.slogdet(omega)[1], rtol=1e-12, atol=1e-12)
+        inv = np.linalg.inv(omega)
+        assert np.linalg.norm(form.inverse - inv) <= 1e-12 * np.linalg.norm(inv)
+        # the dual lattice is spanned by the rows of 2 pi L^{-T}
+        basis = 2.0 * np.pi * np.linalg.inv(np.linalg.cholesky(omega)).T
+        npt.assert_allclose(form.dual.rho, lattice.shortest_vector_estimate(basis), rtol=1e-12)
+        npt.assert_allclose(form.dual.matrix, 4.0 * np.pi**2 * form.inverse, rtol=0, atol=0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=pd_matrices())
+    def test_form_and_matrix_give_the_same_results(self, case):
+        omega, rng = case
+        g = omega.shape[0]
+        form = lattice.Form(omega)
+        z = rng.uniform(-2.0, 2.0, g) + 1j * rng.uniform(-1.0, 1.0, g)
+        assert theta.theta_tilde(z, form, 1e-10) == theta.theta_tilde(z, omega, 1e-10)
+        xs = rng.uniform(-2.0, 2.0, (4, g))
+        for got, want in zip(theta.theta_tilde_batch(xs, form, 1e-10),
+                             theta.theta_tilde_batch(xs, omega, 1e-10)):
+            npt.assert_array_equal(got, want)
+        center = rng.uniform(-1.0, 1.0, g)
+        npt.assert_array_equal(lattice.enumerate_ellipsoid(form, center, 2.0),
+                               lattice.enumerate_ellipsoid(omega, center, 2.0))
+
+    def test_given_factor_is_trusted_and_arrays_are_read_only(self):
+        low = np.array([[2.0, 0.0], [1.0, 3.0]])
+        form = lattice.Form(low @ low.T, low=low)
+        assert form.low is low
+        npt.assert_allclose(form.log_det, np.log(36.0))
+        with pytest.raises(ValueError):
+            form.matrix[0, 0] = 1.0
+        assert lattice.Form.of(form) is form

@@ -4,7 +4,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from rtbm import lattice, numerics, theta
+from rtbm import lattice, numerics, theta, train
 from rtbm.errors import InvalidModel, RankDeficient, UnsupportedDimension
 from rtbm.model import RtbmModel
 
@@ -90,19 +90,28 @@ class TestLogPdfVisible:
             RtbmModel.from_dict(d)
 
     def test_t_factored_once_per_model(self, serve_doc, monkeypatch):
+        # T, Q and S are each factored once per model, and no matrix (the
+        # dual forms included) twice, across validate and repeated densities
         m = RtbmModel.from_dict(serve_doc)
+        s = m.q - m.w.T @ np.linalg.solve(m.t, m.w)
         calls = []
-        factor = numerics.cholesky
 
-        def counting(mat, name="matrix"):
-            if np.shape(mat) == m.t.shape and np.array_equal(mat, m.t):
-                calls.append(name)
-            return factor(mat, name)
+        def counting(mat, name="matrix", _inner=numerics.cholesky):
+            calls.append(np.array(mat, dtype=float))
+            return _inner(mat, name)
 
-        monkeypatch.setattr(numerics, "cholesky", counting)
+        for module in (numerics, theta, train, lattice):
+            monkeypatch.setattr(module, "cholesky", counting)
+        m.validate()
         m.log_pdf_visible([[7.0], [9.0]])
         m.log_pdf_visible([8.0])
-        assert len(calls) == 1
+
+        def times(target):
+            return sum(c.shape == target.shape and np.allclose(c, target, rtol=1e-10, atol=0.0)
+                       for c in calls)
+
+        assert [times(x) for x in (m.t, m.q, s)] == [1, 1, 1]
+        assert [times(c) for c in calls] == [1] * len(calls)
 
 
 def model_with_schur(s, seed):
@@ -134,13 +143,23 @@ class TestSchurPass:
         sc = m.schur()
         assert m.schur() is sc
         expected = m.q - m.w.T @ np.linalg.solve(m.t, m.w)
-        npt.assert_allclose(sc.omega, expected, atol=1e-12)
-        npt.assert_array_equal(sc.omega, sc.omega.T)
-        npt.assert_allclose(sc.omega_low @ sc.omega_low.T, sc.omega, atol=1e-12)
+        npt.assert_allclose(sc.form.matrix, expected, atol=1e-12)
+        npt.assert_array_equal(sc.form.matrix, sc.form.matrix.T)
+        npt.assert_allclose(sc.form.low @ sc.form.low.T, sc.form.matrix, atol=1e-12)
         npt.assert_allclose(sc.bias, m.bh - m.w.T @ np.linalg.solve(m.t, m.bv), atol=1e-12)
-        npt.assert_allclose(m.validate()["s"], np.min(np.diag(sc.omega_low)))
+        npt.assert_allclose(m.validate()["s"], np.min(np.diag(sc.form.low)))
         hp = m.hidden_params()
-        assert hp.omega is sc.omega and hp.bias is sc.bias
+        assert hp.omega is sc.form.matrix and hp.bias is sc.bias
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("s, dual", SCHUR_CASES)
+    def test_log_pdf_visible_of_no_points(self, s, dual):
+        # here det Q lies on the same side of (2 pi)^g as det S, so the
+        # numerator batch takes the dual and the primal path
+        m = model_with_schur(s, seed=s.shape[0])
+        assert dual == (np.linalg.slogdet(m.q)[1] < s.shape[0] * np.log(2.0 * np.pi))
+        assert m.log_pdf_visible(np.empty((0, m.nv))).shape == (0,)
 
 
 class TestDualNormalizer:
@@ -151,10 +170,10 @@ class TestDualNormalizer:
         m = model_with_schur(s, seed=s.shape[0])
         sc = m.schur()
         xs = -sc.bias[None, :]
-        assert (theta._dual_batch(xs, sc.omega, 1e-12, lattice.POINT_BUDGET, 1) is not None) == dual
+        assert (theta._dual_batch(xs, sc.form, 1e-12, lattice.POINT_BUDGET, 1) is not None) == dual
         assert dual == (np.linalg.slogdet(s)[1] < s.shape[0] * np.log(2.0 * np.pi))
         log_norm = m._log_norm(1e-12, None)
-        assert abs(log_norm - brute_force_theta(-sc.bias, sc.omega)[0]) < 1e-10
+        assert abs(log_norm - brute_force_theta(-sc.bias, sc.form.matrix)[0]) < 1e-10
         # The dual value leaves the point set unbuilt; the fallback builds it.
         assert (("hidden", 1e-12, None) in m._cache) == (not dual)
 

@@ -2,10 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rtbm import numerics
+from rtbm import lattice, numerics
 from rtbm.errors import NotPositiveDefinite, NotSymmetric, RankDeficient
 
 from conftest import random_pd_matrix
+
+
+def inverse(m):
+    return lattice.Form(m).inverse
 
 
 class TestCholesky:
@@ -45,18 +49,18 @@ class TestCholesky:
 
 
 class TestInverse:
+    """``lattice.Form.inverse``, the one inverse of a positive definite matrix."""
+
     def test_identity(self):
-        npt.assert_allclose(numerics.inverse(np.eye(2)), np.eye(2))
+        npt.assert_allclose(inverse(np.eye(2)), np.eye(2))
 
     def test_diagonal(self):
-        npt.assert_allclose(
-            numerics.inverse([[2.0, 0.0], [0.0, 4.0]]), [[0.5, 0.0], [0.0, 0.25]]
-        )
+        npt.assert_allclose(inverse([[2.0, 0.0], [0.0, 4.0]]), [[0.5, 0.0], [0.0, 0.25]])
 
     def test_two_by_two_closed_form(self):
         # adj / det with det = 16
         npt.assert_allclose(
-            numerics.inverse([[4.0, 2.0], [2.0, 5.0]]),
+            inverse([[4.0, 2.0], [2.0, 5.0]]),
             [[0.3125, -0.125], [-0.125, 0.25]],
         )
 
@@ -65,7 +69,7 @@ class TestInverse:
         for _ in range(30):
             m = random_pd_matrix(rng, int(rng.integers(1, 6)))
             npt.assert_allclose(
-                numerics.inverse(numerics.inverse(m)),
+                inverse(inverse(m)),
                 0.5 * (m + m.T),
                 rtol=1e-8,
                 atol=1e-10,
@@ -75,9 +79,7 @@ class TestInverse:
         rng = np.random.default_rng(2)
         for _ in range(30):
             m = random_pd_matrix(rng, int(rng.integers(1, 6)))
-            npt.assert_allclose(
-                m @ numerics.inverse(m), np.eye(m.shape[0]), atol=1e-10
-            )
+            npt.assert_allclose(m @ inverse(m), np.eye(m.shape[0]), atol=1e-10)
 
 
 class TestLeftPseudoInverse:

@@ -114,13 +114,13 @@ class TestThetaTilde:
 class TestRadiusForEpsilon:
     def test_monotone_in_epsilon(self):
         omega = np.array([[2.0]])
-        rho = theta._lattice_rho(omega)
+        rho = lattice.Form(omega).rho
         radii = [theta.radius_for_epsilon(omega, eps, rho) for eps in (1e-4, 1e-8, 1e-12)]
         assert radii[0] <= radii[1] <= radii[2]
 
     def test_certifies_the_tail(self):
         omega = np.array([[2.0]])
-        rho = theta._lattice_rho(omega)
+        rho = lattice.Form(omega).rho
         r = theta.radius_for_epsilon(omega, 1e-12, rho)
         # true tail of the centered sum beyond r
         n = np.arange(-60, 61)
@@ -132,8 +132,8 @@ class TestRadiusForEpsilon:
         rng = np.random.default_rng(5)
         for _ in range(20):
             omega = random_pd_matrix(rng, 2, ridge=0.5)
-            r1 = theta.radius_for_epsilon(omega, 1e-12, theta._lattice_rho(omega))
-            r4 = theta.radius_for_epsilon(4 * omega, 1e-12, theta._lattice_rho(4 * omega))
+            r1 = theta.radius_for_epsilon(omega, 1e-12, lattice.Form(omega).rho)
+            r4 = theta.radius_for_epsilon(4 * omega, 1e-12, lattice.Form(4 * omega).rho)
             assert r4 <= r1 + 1e-9
 
 
@@ -347,7 +347,8 @@ class TestThetaBatchDual:
         # theta(-x) = theta(x): the summation lattice is symmetric under n -> -n.
         g, omega, rng = case
         xs = rng.uniform(-3.0, 3.0, (5, g))
-        assume((theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512) is not None) == dual)
+        form = lattice.Form(omega)
+        assume((theta._dual_batch(xs, form, 1e-12, lattice.POINT_BUDGET, 512) is not None) == dual)
         plus = theta.theta_tilde_batch(xs, omega, 1e-12)
         minus = theta.theta_tilde_batch(-xs, omega, 1e-12)
         npt.assert_allclose(minus[0], plus[0], rtol=1e-13, atol=1e-12)
@@ -357,16 +358,24 @@ class TestThetaBatchDual:
     def test_dual_used_below_threshold(self, g):
         omega = np.eye(g)  # det 1 < (2 pi)^g; k != 0 mass about 2g e^{-2 pi^2}
         xs = np.random.default_rng(g).uniform(-3.0, 3.0, (5, g))
-        dual = theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512)
+        dual = theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET, 512)
         assert dual is not None
         for i in range(xs.shape[0]):
             assert abs(dual[0][i] - _box_reference(xs[i], omega)) < 1e-10
         assert np.all(dual[2] <= 1e-12)
 
+    @pytest.mark.parametrize("scale", [0.5, 50.0])  # det below and above (2 pi)^2
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_batch_on_every_path(self, scale, dtype):
+        omega = scale * np.eye(2)
+        zs = np.empty((0, 2), dtype=dtype)
+        out = theta.theta_tilde_batch(zs, omega, 1e-12)
+        assert [a.shape for a in out] == [(0,)] * 3
+
     def test_primal_above_threshold(self):
         omega = 50.0 * np.eye(1)  # det > 2 pi
         xs = np.ones((2, 1))
-        assert theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512) is None
+        assert theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET, 512) is None
 
     def test_guard_failure_falls_back_to_primal(self):
         # det 144 < (2 pi)^3, but the four dual vectors +-e1, +-e2 carry
@@ -377,7 +386,7 @@ class TestThetaBatchDual:
         mass = 4.0 * np.exp(-2.0 * np.pi**2 * a_inv[0, 0])
         assert mass > 0.5 and mass / 2.0 <= 0.5
         xs = np.random.default_rng(0).uniform(-3.0, 3.0, (5, 3))
-        assert theta._dual_batch(xs, omega, 1e-12, lattice.POINT_BUDGET, 512) is None
+        assert theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET, 512) is None
         log_mag, _, tail = theta.theta_tilde_batch(xs, omega, 1e-12)
         for i in range(xs.shape[0]):
             assert abs(log_mag[i] - _box_reference(xs[i], omega)) < 1e-10

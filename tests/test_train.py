@@ -44,9 +44,9 @@ class TestParamCodec:
 class TestFactorHandOff:
     """decode hands its factors of T and S to the model."""
 
-    def test_one_evaluation_factors_at_most_four_times(self, monkeypatch):
-        # one factor each for Q (validate), the dual lattices of S and Q,
-        # and Q in the numerator batch; T and S arrive from decode
+    def test_one_evaluation_factors_at_most_three_times(self, monkeypatch):
+        # one factor each for Q (validate and the numerator batch share its
+        # Form) and the dual forms of S and Q; T and S arrive from decode
         calls = []
 
         def counting(m, name="matrix", _inner=numerics.cholesky):
@@ -68,7 +68,7 @@ class TestFactorHandOff:
                 cand, data, train.TRAIN_EPS, budget=train.TRAIN_POINT_BUDGET
             )
             assert np.isfinite(nll)
-            assert len(calls) <= 4, calls
+            assert len(calls) <= 3, calls
             scored += 1
         assert scored >= 10
 
@@ -78,10 +78,13 @@ class TestFactorHandOff:
         for _ in range(20):
             m = train.decode(rng.normal(0.0, 0.5, train.param_dim(nv, nh)), nv, nh)
             fresh = RtbmModel(m.t, m.q, m.w, m.bv, m.bh)
-            pairs = [(m._t_cholesky(), fresh._t_cholesky())]
+            pairs = [(m._form("t").low, fresh._form("t").low)]
             pairs += [
-                (getattr(m.schur(), f), getattr(fresh.schur(), f))
-                for f in ("t_inv_w", "omega", "omega_low", "bias")
+                (getattr(m.schur(), f), getattr(fresh.schur(), f)) for f in ("t_inv_w", "bias")
+            ]
+            pairs += [
+                (getattr(m.schur().form, f), getattr(fresh.schur().form, f))
+                for f in ("matrix", "low", "log_det")
             ]
             for got, want in pairs:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
