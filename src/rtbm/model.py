@@ -23,12 +23,12 @@ T, Q and S each have one cached ``lattice.Form`` per model, which derives
 the matrix's factor, log det, inverse, shortest vector and dual form once;
 S's is part of the one Schur pass, ``RtbmModel.schur``, with T^{-1} W and
 b_h.  The densities need only the value of theta_b, not its points: it
-comes from the primal point set when ``hidden_params`` has already built
-it, else from the Poisson-dual form of ``theta._dual_batch`` (certified
+comes from the Poisson-dual form of ``theta._dual_batch`` (certified
 relative error r, entered as log V + log1p(r) so that log_norm stays an
-upper bound on log theta_b), else from ``hidden_params``.  The sampler, the
-CDF, the hidden pmf, the characteristic functions and the moments use the
-primal point set.
+upper bound on log theta_b), else from ``hidden_params``.  That primal
+point set is the one enumeration of the hidden sector: the sampler, the
+CDF and the hidden pmf read it, and the moments and both characteristic
+functions are mass-weighted averages over its points.
 
 All densities are exposed in log domain; theta magnitudes can be
 astronomically large, but their logs and ratios are stable.  Only real
@@ -74,26 +74,31 @@ class SchurComplement:
 class HiddenGaussianParams:
     """Primal point set of the hidden sector, computed once per model and epsilon.
 
-    ``omega`` and ``bias`` are the Schur complement S and b_h of
-    ``RtbmModel.schur``.  ``points`` and ``log_weights`` hold the
-    certification ellipsoid of the normalizer theta_b with the unnormalized
-    log masses -1/2 h^T omega h - bias^T h; ``log_norm`` is
-    log(theta_n + eps(R)), so the enumerated masses sum to
+    ``points`` and ``log_weights`` hold the certification ellipsoid of the
+    normalizer theta_b with the unnormalized log masses
+    -1/2 h^T S h - b_h^T h (S and b_h from ``RtbmModel.schur``);
+    ``log_norm`` is log(theta_n + eps(R)), so the enumerated masses sum to
     theta_n / (theta_n + eps(R)) < 1, and ``p_outside`` is the certified
     bound eps(R) / (theta_n + eps(R)) on the mass outside the ellipsoid.
-    ``log_pdf_visible`` takes its normalizer from here when this set exists;
-    otherwise it uses the dual form, log V + log1p(r) with r the dual's
-    certified relative error, which is an upper bound on log theta_b too.
+    The hidden moments and the characteristic functions are averages
+    over these points (``_average``).
     """
 
-    omega: np.ndarray
-    bias: np.ndarray
-    theta_value: theta.ThetaValue
     points: np.ndarray = field(repr=False)
     log_weights: np.ndarray = field(repr=False)
-    max_log_weight: float
     log_norm: float
     p_outside: float
+
+    def _average(self, f):
+        """sum_h P(h) f(h) / sum_h P(h) over ``points``, for the rows f(h) of ``f``.
+
+        Each component is one contiguous pairwise sum, as the normalizer is,
+        so f = 1 gives exactly 1.
+        """
+        f = np.asarray(f, dtype=float)
+        mass = np.exp(self.log_weights - self.log_norm)
+        cols = np.ascontiguousarray(f.reshape(f.shape[0], -1).T)
+        return (np.sum(cols * mass, axis=-1) / np.sum(mass)).reshape(f.shape[1:])
 
 
 def _freeze(arr):
@@ -295,40 +300,34 @@ class RtbmModel:
             log_norm = data.max_log_weight + math.log(reduced + tail)
             p_outside = tail / (reduced + tail)
             self._cache[key] = HiddenGaussianParams(
-                omega=sc.form.matrix,
-                bias=sc.bias,
-                theta_value=data.value,
                 points=data.points,
                 log_weights=data.log_weights,
-                max_log_weight=data.max_log_weight,
                 log_norm=log_norm,
                 p_outside=p_outside,
             )
         return self._cache[key]
 
     def _log_norm(self, eps, budget):
-        """log theta_b for the densities, cached per (epsilon, budget).
+        """log theta_b for the densities, one cached value per (epsilon, budget).
 
-        The primal point set's ``log_norm`` when ``hidden_params`` has built
-        it; else the dual form at -b_h over S, log V + log1p(r): the dual
-        sum V is within relative error r of theta_b (its k != 0 mass is at
-        most 1/2), so V (1 + r) bounds theta_b from above, as the primal
+        The dual form at -b_h over S, log V + log1p(r): the dual sum V is
+        within relative error r of theta_b (its k != 0 mass is at most 1/2),
+        so V (1 + r) bounds theta_b from above, as the primal
         log(reduced + tail) does.  Where the dual does not apply, the point
-        set is built.
+        set's ``log_norm``.  The choice depends only on the model, not on
+        whether ``hidden_params`` has run, so log P(v) does not either.
         """
-        hp = self._cache.get(("hidden", eps, budget))
-        if hp is not None:
-            return hp.log_norm
-        key = ("dual_norm", eps, budget)
+        key = ("log_norm", eps, budget)
         if key not in self._cache:
             sc = self.schur()
             dual = theta._dual_batch(
                 -sc.bias[None, :], sc.form, eps, budget or lattice.POINT_BUDGET, chunk=1
             )
             if dual is None:
-                return self.hidden_params(eps, budget).log_norm
-            log_mag, _, rel = dual
-            self._cache[key] = float(log_mag[0]) + math.log1p(float(rel[0]))
+                self._cache[key] = self.hidden_params(eps, budget).log_norm
+            else:
+                log_mag, _, rel = dual
+                self._cache[key] = float(log_mag[0]) + math.log1p(float(rel[0]))
         return self._cache[key]
 
     def _log_gauss_norm(self):
@@ -343,10 +342,9 @@ class RtbmModel:
         ``budget`` caps the enumerated theta points (PointBudgetExceeded
         beyond it); the default is the lattice module's global cap.  The
         numerator is one ``theta_tilde_batch`` over Q.  The normalizer
-        theta_b is the point set's ``log_norm`` when ``hidden_params`` has
-        built it for (eps, budget); otherwise the Poisson-dual value
-        log V + log1p(r), with r the dual's certified relative error; and
-        where the dual does not apply, ``hidden_params`` builds the point set.
+        theta_b is the Poisson-dual value log V + log1p(r), with r the dual's
+        certified relative error; where the dual does not apply, it is the
+        ``log_norm`` of the point set that ``hidden_params`` builds.
         """
         self._require_valid()
         v, single = _as_batch(v, self.nv, "v")
@@ -366,9 +364,8 @@ class RtbmModel:
         self._require_valid()
         h, single = _as_batch(h, self.nh, "h")
         hp = self.hidden_params(eps)
-        log_w = (
-            -0.5 * np.einsum("ij,jk,ik->i", h, hp.omega, h) - h @ hp.bias
-        )
+        sc = self.schur()
+        log_w = -0.5 * np.einsum("ij,jk,ik->i", h, sc.form.matrix, h) - h @ sc.bias
         out = log_w - hp.log_norm
         return float(out[0]) if single else out
 
@@ -390,51 +387,45 @@ class RtbmModel:
     # -- characteristic functions --------------------------------------------
 
     def characteristic_visible(self, r, eps=theta.DEFAULT_EPS):
-        """phi_v(r) = E[exp(i r^T v)]; exactly 1 at r = 0."""
+        """phi_v(r) = E[exp(i r^T v)]; exactly 1 at r = 0.
+
+        The mixture sum_h P(h) exp(i r^T mu(h) - 1/2 r^T T^{-1} r) over the
+        points of ``hidden_params``; |error| <= 2 ``p_outside``, as the omitted
+        terms and the masses' renormalization error are each at most that mass.
+        """
         self._require_valid()
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.nv,):
             raise ValueError(f"r must have shape ({self.nv},), got {r.shape}")
         hp = self.hidden_params(eps)
-        t_inv_bv = self._form("t").solve(self.bv)
-        t_inv_r = self._form("t").solve(r)
-        # theta_tilde is even in z; evaluating at -(bias) - i W^T T^{-1} r makes
-        # r = 0 reuse the cached normalizer evaluation exactly, so phi(0) = 1.
-        z_num = -hp.bias - 1j * (self.w.T @ t_inv_r)
-        num = theta.theta_tilde(z_num, self.schur().form, eps)
-        den = hp.theta_value
-        log_phi = (
-            -1j * (r @ t_inv_bv)
-            - 0.5 * (r @ t_inv_r)
-            + (num.log_complex - den.log_complex)
-        )
-        return complex(np.exp(log_phi))
+        phase = self.conditional_mean(hp.points) @ r
+        cos, sin = hp._average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
+        return complex(cos, sin) * math.exp(-0.5 * (r @ self._form("t").solve(r)))
 
     def characteristic_hidden(self, r, eps=theta.DEFAULT_EPS):
-        """phi_h(r) = E[exp(i r^T h)]; exactly 1 at r = 0."""
+        """phi_h(r) = E[exp(i r^T h)] over ``hidden_params``, |error| <= 2 ``p_outside``
+        (see ``characteristic_visible``); exactly 1 at r = 0."""
         self._require_valid()
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.nh,):
             raise ValueError(f"r must have shape ({self.nh},), got {r.shape}")
         hp = self.hidden_params(eps)
-        num = theta.theta_tilde(-hp.bias + 1j * r, self.schur().form, eps)
-        return complex(np.exp(num.log_complex - hp.theta_value.log_complex))
+        phase = hp.points @ r
+        cos, sin = hp._average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
+        return complex(cos, sin)
 
     # -- hidden moments --------------------------------------------------------
 
     def hidden_mean(self, eps=theta.DEFAULT_EPS):
-        """E[h], from the gradient of log theta at the hidden-sector argument."""
+        """E[h], the average of h over the points of ``hidden_params``."""
         hp = self.hidden_params(eps)
-        grad, _ = theta.theta_tilde_grad(-hp.bias, self.schur().form, eps)
-        return grad.real
+        return hp._average(hp.points)
 
     def hidden_covariance(self, eps=theta.DEFAULT_EPS):
-        """cov(h), second-moment theta ratios minus the mean outer product."""
+        """cov(h), the average of (h - E[h]) (h - E[h])^T over the same points."""
         hp = self.hidden_params(eps)
-        second, _ = theta.theta_tilde_hess(-hp.bias, self.schur().form, eps)
-        mean = self.hidden_mean(eps)
-        cov = second.real - np.outer(mean, mean)
-        return 0.5 * (cov + cov.T)
+        d = hp.points - self.hidden_mean(eps)
+        return hp._average(d[:, :, None] * d[:, None, :])
 
     # -- affine transform -------------------------------------------------------
 

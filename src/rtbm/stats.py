@@ -136,23 +136,23 @@ def central_moments(samples):
 def model_moments_1d(m, eps=theta.DEFAULT_EPS):
     """(mean, mu2, mu3, mu4) of a one-dimensional model density.
 
-    Exact Gaussian moment formulas for each mixture component, weighted by
-    the hidden masses over the certification ellipsoid, then converted from
-    raw to central moments.
+    Exact Gaussian moment formulas for each mixture component, averaged
+    with the hidden masses over the points of ``hidden_params``, then
+    converted from raw to central moments.
     """
     if m.nv != 1:
         raise UnsupportedDimension(
             f"model_moments_1d requires nv = 1, got nv = {m.nv}"
         )
     hp = m.hidden_params(eps)
-    masses = np.exp(hp.log_weights - hp.log_norm)
-    masses = masses / np.sum(masses)
-    mus = m.conditional_mean(hp.points.astype(float))[:, 0]
+    mus = m.conditional_mean(hp.points)[:, 0]
     var = 1.0 / float(m.t[0, 0])
-    m1 = float(masses @ mus)
-    m2 = float(masses @ (mus**2 + var))
-    m3 = float(masses @ (mus**3 + 3.0 * mus * var))
-    m4 = float(masses @ (mus**4 + 6.0 * mus**2 * var + 3.0 * var**2))
+    m1, m2, m3, m4 = hp._average(np.stack([
+        mus,
+        mus**2 + var,
+        mus**3 + 3.0 * mus * var,
+        mus**4 + 6.0 * mus**2 * var + 3.0 * var**2,
+    ], axis=1)).tolist()
     mu2 = m2 - m1**2
     mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4

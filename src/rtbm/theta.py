@@ -204,8 +204,8 @@ class ThetaSum:
     ``points`` are the enumerated integer vectors, ``log_weights`` their real
     exponents -1/2 n^T Omega n + n^T Re(z) and ``terms`` their reduced terms
     exp(exponent - max_log_weight) (complex for complex z), which add up to
-    ``reduced_sum``.  Shared by the discrete sampler and the hidden-sector
-    moments so that certification and sampling use one point set.
+    ``reduced_sum``.  ``RtbmModel.hidden_params`` keeps one such point set,
+    which the sampler, the CDF and every hidden-sector expectation read.
     """
 
     value: ThetaValue

@@ -3,12 +3,19 @@ import numpy.testing as npt
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtbm import lattice, numerics, theta, train
 from rtbm.errors import InvalidModel, RankDeficient, UnsupportedDimension
 from rtbm.model import RtbmModel
 
-from conftest import brute_force_theta, random_pd_matrix, random_valid_model
+from conftest import (
+    brute_force_theta,
+    brute_force_theta_moments,
+    random_pd_matrix,
+    random_valid_model,
+)
 
 
 def mixture_log_pdf(m, v, eps=1e-12):
@@ -149,7 +156,10 @@ class TestSchurPass:
         npt.assert_allclose(sc.bias, m.bh - m.w.T @ np.linalg.solve(m.t, m.bv), atol=1e-12)
         npt.assert_allclose(m.validate()["s"], np.min(np.diag(sc.form.low)))
         hp = m.hidden_params()
-        assert hp.omega is sc.form.matrix and hp.bias is sc.bias
+        assert m.schur() is sc
+        pts = hp.points.astype(float)
+        log_w = -0.5 * np.einsum("ij,jk,ik->i", pts, sc.form.matrix, pts) - pts @ sc.bias
+        npt.assert_allclose(hp.log_weights, log_w, rtol=0, atol=1e-12)
 
 
 class TestEmptyBatch:
@@ -190,7 +200,23 @@ class TestDualNormalizer:
         fresh, built = model_with_schur(s, seed=11), model_with_schur(s, seed=11)
         built.hidden_params()
         v = np.random.default_rng(3).normal(scale=2.0, size=(50, 2))
-        npt.assert_allclose(fresh.log_pdf_visible(v), built.log_pdf_visible(v), rtol=0, atol=1e-12)
+        npt.assert_array_equal(fresh.log_pdf_visible(v), built.log_pdf_visible(v))
+
+
+class TestOneHiddenPointSet:
+    def test_expectations_reuse_the_point_set(self, monkeypatch, serve_doc):
+        m = RtbmModel.from_dict(serve_doc)
+        m.hidden_params()
+        calls = []
+        for module, name in ((theta, "_theta_sum"), (lattice, "enumerate_ellipsoid")):
+            def counting(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        m.hidden_mean(), m.hidden_covariance()
+        m.characteristic_hidden(np.ones(m.nh)), m.characteristic_visible(np.ones(m.nv))
+        assert calls == []
 
 
 class TestLogPmfHidden:
@@ -309,6 +335,34 @@ class TestCharacteristicFunctions:
             npt.assert_allclose(phi.imag, 0.0, atol=1e-12)
             npt.assert_allclose(phi, m.characteristic_hidden([-r]), atol=1e-12)
 
+    def test_within_twice_p_outside_of_box_sums(self):
+        # phi_h(r) = theta(-b_h + i r | S) / theta(-b_h | S); phi_v(r) is the
+        # ratio at -b_h - i W^T T^{-1} r times exp(-i r^T T^{-1} B_v - r^T T^{-1} r / 2)
+        rng = np.random.default_rng(20)
+        for k in range(9):
+            m = random_valid_model(rng, nv=1 + k % 2, nh=1 + k % 3)
+            sc = m.schur()
+            log_den = brute_force_theta(-sc.bias, sc.form.matrix)[0]
+
+            def ratio(z):
+                log_mag, phase = brute_force_theta(z, sc.form.matrix)
+                return np.exp(log_mag - log_den + 1j * phase)
+
+            r_hidden = rng.normal(scale=2.0, size=(3, m.nh))
+            r_visible = rng.normal(scale=2.0, size=(3, m.nv))
+            want_h = [ratio(-sc.bias + 1j * r) for r in r_hidden]
+            want_v = []
+            for r in r_visible:
+                t_inv_r = np.linalg.solve(m.t, r)
+                gauss = np.exp(-1j * t_inv_r @ m.bv - 0.5 * r @ t_inv_r)
+                want_v.append(gauss * ratio(-sc.bias - 1j * (m.w.T @ t_inv_r)))
+            for eps in (1e-3, 1e-6, 1e-12):
+                bound = 2.0 * m.hidden_params(eps).p_outside
+                for r, want in zip(r_hidden, want_h):
+                    assert abs(m.characteristic_hidden(r, eps) - want) <= bound
+                for r, want in zip(r_visible, want_v):
+                    assert abs(m.characteristic_visible(r, eps) - want) <= bound
+
 
 class TestHiddenMoments:
     def test_mean_zero_at_zero_bias(self):
@@ -342,6 +396,16 @@ class TestHiddenMoments:
             cov_direct = (pts - mean_direct).T * masses @ (pts - mean_direct)
             npt.assert_allclose(m.hidden_mean(), mean_direct, atol=1e-10)
             npt.assert_allclose(m.hidden_covariance(), cov_direct, atol=1e-10)
+
+    def test_against_box_sums(self):
+        rng = np.random.default_rng(21)
+        for k in range(9):
+            m = random_valid_model(rng, nh=1 + k % 3)
+            sc = m.schur()
+            _, first, second = brute_force_theta_moments(-sc.bias, sc.form.matrix)
+            cov = (second - np.outer(first, first)).real
+            npt.assert_allclose(m.hidden_mean(), first.real, rtol=0, atol=1e-10)
+            npt.assert_allclose(m.hidden_covariance(), cov, rtol=0, atol=1e-10)
 
     def test_covariance_psd(self):
         rng = np.random.default_rng(9)
@@ -395,10 +459,23 @@ class TestAffineTransform:
         a = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         b = rng.normal(size=2)
         out = m.affine_transform(a, b)
-        hp, hp_out = m.hidden_params(), out.hidden_params()
-        npt.assert_allclose(hp.omega, hp_out.omega, atol=1e-10)
-        npt.assert_allclose(hp.bias, hp_out.bias, atol=1e-10)
+        sc, sc_out = m.schur(), out.schur()
+        npt.assert_allclose(sc.form.matrix, sc_out.form.matrix, atol=1e-10)
+        npt.assert_allclose(sc.bias, sc_out.bias, atol=1e-10)
         npt.assert_allclose(m.hidden_mean(), out.hidden_mean(), atol=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(nv=st.integers(1, 2), nh=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_characteristic_function_of_image(self, nv, nh, seed):
+        # w = A v + b: E[exp(i r^T w)] = exp(i r^T b) phi_v(A^T r)
+        rng = np.random.default_rng(seed)
+        m = random_valid_model(rng, nv=nv, nh=nh)
+        a = rng.normal(size=(nv, nv)) + 2.0 * np.eye(nv)
+        b = rng.normal(size=nv)
+        r = rng.normal(size=nv)
+        got = m.affine_transform(a, b).characteristic_visible(r)
+        want = np.exp(1j * r @ b) * m.characteristic_visible(a.T @ r)
+        assert abs(got - want) <= 1e-12
 
     def test_rank_deficient_rejected(self):
         rng = np.random.default_rng(14)
