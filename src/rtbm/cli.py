@@ -62,8 +62,8 @@ def _default_eps():
         eps = float(raw)
     except ValueError:
         raise _CliError(EXIT_USAGE, f"{EPS_ENV_VAR} is not a number: {raw!r}")
-    if eps <= 0.0:
-        raise _CliError(EXIT_USAGE, f"{EPS_ENV_VAR} must be positive, got {eps}")
+    if not 0.0 < eps < 1.0:
+        raise _CliError(EXIT_USAGE, f"{EPS_ENV_VAR} must lie in (0, 1), got {eps}")
     return eps
 
 

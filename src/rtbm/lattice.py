@@ -7,7 +7,8 @@ generated by the rows of the Cholesky factor L.  The module provides
   * ``Form``, where a positive definite Omega is factored and its log det,
     inverse, shortest vector and Poisson-dual form are derived, once each,
   * LLL basis reduction (delta = 0.75 by default),
-  * the exact shortest-vector length, scanned from the reduced basis, and
+  * the exact shortest-vector length: by Lagrange-Gauss reduction for
+    g <= 2, else scanned from the LLL-reduced basis, and
   * exhaustive enumeration of integer points inside an ellipsoid
     (n - c)^T Omega (n - c) <= R^2 by recursive one-dimensional sections.
 """
@@ -45,6 +46,24 @@ def _gram_schmidt(basis):
     return ortho, mu
 
 
+def _checked_basis(basis):
+    """``basis`` as a float array; DegenerateBasis unless square and independent."""
+    b = np.array(basis, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise DegenerateBasis(f"basis must be square, got shape {b.shape}")
+    g = b.shape[0]
+    flat = b.ravel().tolist()  # Python floats: a 2x2 check in a few operations
+    if not all(map(math.isfinite, flat)) or not any(flat):
+        raise DegenerateBasis("zero or non-finite basis")
+    if g > 2:
+        det = np.linalg.det(b)
+    else:
+        det = flat[0] if g == 1 else flat[0] * flat[3] - flat[1] * flat[2]
+    if abs(det) < 1e-12 * max(map(abs, flat)) ** g:
+        raise DegenerateBasis("basis vectors are linearly dependent")
+    return b
+
+
 def lll_reduce(basis, delta=LLL_DELTA):
     """LLL-reduce a lattice basis given as rows of a (g, g) matrix.
 
@@ -53,16 +72,8 @@ def lll_reduce(basis, delta=LLL_DELTA):
     """
     if not 0.25 < delta < 1.0:
         raise ValueError(f"delta must lie in (0.25, 1), got {delta}")
-    b = np.array(basis, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DegenerateBasis(f"basis must be square, got shape {b.shape}")
+    b = _checked_basis(basis)
     g = b.shape[0]
-    scale = float(np.max(np.abs(b)))
-    if not np.isfinite(scale) or scale == 0.0:
-        raise DegenerateBasis("zero or non-finite basis")
-    if abs(np.linalg.det(b)) < 1e-12 * scale**g:
-        raise DegenerateBasis("basis vectors are linearly dependent")
-
     ortho, mu = _gram_schmidt(b)
     k = 1
     while k < g:
@@ -97,7 +108,30 @@ def _coefficient_box(half):
     return box[: box.shape[0] // 2].astype(float)
 
 
-def shortest_vector_estimate(basis, delta=LLL_DELTA):
+def _gauss_shortest(b):
+    """lambda_1 of the lattice of a checked 2x2 basis by Lagrange-Gauss reduction.
+
+    Reduces the pair (u, w) of lattice vectors, each kept as its two
+    coordinates and its integer coefficients over the rows of ``b``, until
+    |u . w| <= |u|^2 / 2 and |u| <= |w|; then u is a shortest nonzero
+    vector.  Its length is evaluated afresh from its coefficients, so it is
+    the length of an actual lattice vector.
+    """
+    (p, q), (r, s) = b.tolist()
+    u, w = [p, q, 1, 0], [r, s, 0, 1]
+    if r * r + s * s < p * p + q * q:
+        u, w = w, u
+    while True:
+        u_sq = u[0] * u[0] + u[1] * u[1]
+        k = round((u[0] * w[0] + u[1] * w[1]) / u_sq)
+        w = [wi - k * ui for wi, ui in zip(w, u)]
+        if w[0] * w[0] + w[1] * w[1] >= u_sq:
+            break
+        u, w = w, u
+    return math.hypot(u[2] * p + u[3] * r, u[2] * q + u[3] * s)
+
+
+def shortest_vector_estimate(basis):
     """Exact length lambda_1 of the shortest nonzero lattice vector.
 
     The theta tail bound counts lattice points with balls of radius
@@ -106,8 +140,12 @@ def shortest_vector_estimate(basis, delta=LLL_DELTA):
     the search: a vector v = c B with |v| <= rho_LLL has coefficients
     |c_i| = |v . (B^{-1})_{:, i}| <= rho_LLL |(B^{-1})_{:, i}|, and in a
     reduced basis this box is a few integers wide, so it is scanned whole.
+    For g <= 2 Lagrange-Gauss reduction gives lambda_1 directly.
     """
-    reduced = lll_reduce(basis, delta)
+    if np.shape(basis) in ((1, 1), (2, 2)):
+        b = _checked_basis(basis)
+        return abs(float(b[0, 0])) if b.shape[0] == 1 else _gauss_shortest(b)
+    reduced = lll_reduce(basis)  # checks the basis
     gram = reduced @ reduced.T
     rho_sq = float(gram.diagonal().min())
     # |(B^{-1})_{:, i}|^2 is the i-th diagonal entry of gram^{-1}

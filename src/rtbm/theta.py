@@ -12,9 +12,12 @@ Gaussian in the Omega-distance from c.  The evaluator sums exactly the
 integer points inside the ellipsoid (n - c)^T Omega (n - c) <= R^2, with R
 chosen so that a rigorous bound on the omitted tail is below the requested
 epsilon.  The point set depends only on Omega and the ellipsoid center, so
-one enumeration can serve a whole batch of arguments (uniform
-approximation), and the same point set feeds the value, the gradient and
-the second-moment sums.
+the same point set feeds the value, the gradient and the second-moment
+sums.  A batch shares one enumeration: shifted by each argument's rounded
+center, it needs to cover only the offsets of the batch's centers from
+their rounded centers, so it is centered on those offsets and widened by
+their spread, not by the whole half-unit cube as in the uniform
+approximation of Deconinck et al. (below).
 
 Tail bound.  Writing Omega = L L^T, the terms beyond radius R form a
 Gaussian sum over the shifted lattice {L^T (n - c)} outside the ball of
@@ -103,11 +106,6 @@ class ThetaValue:
     tail_bound: float
     radius: float
     point_count: int
-
-    @property
-    def log_complex(self):
-        """log theta as a complex number (principal phase branch)."""
-        return complex(self.log_magnitude, self.phase)
 
     @property
     def value(self):
@@ -243,8 +241,8 @@ def _theta_sum(z, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (g,):
         raise ValueError(f"z must have shape ({g},), got {z.shape}")
-    if eps <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     x, y = z.real, z.imag
 
     cs = _Centers(form, x[None, :], eps)
@@ -301,13 +299,21 @@ def theta_tilde_hess(z, omega, eps=DEFAULT_EPS):
     return 0.5 * (hess + hess.T), data.value
 
 
-def _cube_radius(omega):
-    """Max Omega-norm of a point of the centered half-unit cube (its corners)."""
-    g = omega.shape[0]
-    corners = np.array(
-        [[0.5 if (i >> b) & 1 else -0.5 for b in range(g)] for i in range(2**g)]
-    )
-    return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, omega, corners))))
+def _offset_cover(offsets, omega):
+    """Center m and radius max_i |o_i - m|_Omega of a ball holding the offsets.
+
+    m is the midpoint of the offsets' bounding box or the origin, whichever
+    needs the smaller radius.  Offsets lie in the half-unit cube, so the
+    radius is at most that of the cube's corners, and at most max_i |o_i|.
+    """
+    rows = np.ascontiguousarray(offsets.T)  # (g, n): numpy reduces along rows fast
+    mid = 0.5 * (np.min(rows, axis=1) + np.max(rows, axis=1))
+
+    def reach(m):
+        dev = rows - m[:, None]
+        return math.sqrt(float(np.max(np.sum((omega @ dev) * dev, axis=0))))
+
+    return min(((m, reach(m)) for m in (mid, np.zeros_like(mid))), key=lambda c: c[1])
 
 
 def _dual_batch(xs, form, eps, budget, chunk):
@@ -358,9 +364,11 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
 
     For real arguments with det Omega < (2 pi)^g, sums the Poisson-dual
     series over one dual point set (see the module docstring) when its
-    guard holds.  Otherwise enumerates one base point set around the
-    origin, enlarged by the half-unit-cube radius, and shifts it by the
-    rounded ellipsoid center of every argument.  The certified tail bound
+    guard holds.  Otherwise enumerates one base point set around a center
+    m of the offsets o_i = c_i - round(c_i) of the ellipsoid centers (see
+    ``_offset_cover``), at radius R + max_i |o_i - m|_Omega, and shifts it
+    by every argument's rounded center; by the triangle inequality it holds
+    each argument's own ellipsoid of radius R.  The certified tail bound
     of each evaluation is below ``eps``.  Returns (log_magnitude, phase,
     tail_bound) arrays; an empty batch gives empty arrays.
     """
@@ -370,8 +378,8 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     if zs.shape[1] != g:
         raise ValueError(f"arguments must have {g} columns, got {zs.shape[1]}")
-    if eps <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     n = zs.shape[0]
     if n == 0:
         return np.empty(0), np.empty(0), np.empty(0)
@@ -384,9 +392,8 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
 
     cs = _Centers(form, xs, eps)
     shifts, e_cont, gaps = cs.shifts, cs.e_cont, cs.gaps
-    base = lattice.enumerate_ellipsoid(
-        form, np.zeros(g), cs.radius + _cube_radius(omega), budget=budget
-    )
+    mid, spread = _offset_cover(cs.centers - shifts, omega)
+    base = lattice.enumerate_ellipsoid(form, mid, cs.radius + spread, budget=budget)
     if base.shape[0] == 0:
         raise PointBudgetExceeded("empty base point set")
     base_f = base.astype(float)
@@ -397,8 +404,10 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     #               = b_k^T (x_i - Omega s_i) + [s_i^T x_i - 1/2 s_i^T Omega s_i]
     #                 - 1/2 b_k^T Omega b_k.
     # The continuous maximum e_cont_i bounds every exponent from above, so it
-    # serves as the log-sum-exp reference without a max pass; the reduced sum
-    # then lies in [exp(-gap_i), point count], safely inside double range.
+    # serves as the log-sum-exp reference without a max pass.  The best
+    # lattice point lies within sqrt(2 gap_i) of c_i, and log_bound(R) >=
+    # -R^2/2 puts that inside R as eps < 1, so it is summed: the reduced sum
+    # lies in [exp(-gap_i), point count], safely inside double range.
     chunk = max(1, min(chunk, int(4e6 // max(base.shape[0], 1))))  # cap scratch memory
     log_mag = np.empty(n)
     phase = np.empty(n)

@@ -30,6 +30,9 @@ from conftest import (
     random_valid_model,
 )
 
+#: Trained fits take minutes; ``pytest -m "not slow"`` runs everything else.
+pytestmark = pytest.mark.slow
+
 # Optimizer settings for the stochastic training criteria: a larger
 # population and step size than the doc defaults, which stall on these
 # multimodal likelihoods.

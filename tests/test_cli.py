@@ -289,6 +289,8 @@ class TestEnvironment:
         assert tail <= 1e-6
         monkeypatch.setenv("RTBM_THETA_EPS", "bogus")
         assert main(["theta", "--z", "0", "--omega", "2"]) == 2
+        monkeypatch.setenv("RTBM_THETA_EPS", "1")
+        assert main(["theta", "--z", "0", "--omega", "2"]) == 2
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -149,6 +149,75 @@ class TestShortestVectorEstimate:
                 npt.assert_allclose(est, true_min, rtol=1e-12)
 
 
+def box_scan_shortest(basis):
+    """lambda_1 of the rows of ``basis`` by a scan of a whole coefficient box.
+
+    A vector c B no longer than r, the shortest row, has coefficients
+    |c_i| <= r |(B^{-1})_{:, i}|; the box is scanned in slices of its last
+    coordinate to bound memory.
+    """
+    g = basis.shape[0]
+    r = float(np.min(np.linalg.norm(basis, axis=1)))
+    half = np.floor(r * np.linalg.norm(np.linalg.inv(basis), axis=0) * (1 + 1e-9)).astype(int)
+    widths = 2 * half[:-1] + 1
+    inner = np.indices(widths).reshape(g - 1, int(np.prod(widths))).T - half[:-1]
+    head = inner @ basis[:-1]
+    best = r * r
+    step = max(1, 200_000 // len(inner))
+    for lo in range(-half[-1], half[-1] + 1, step):
+        last = np.arange(lo, min(lo + step, half[-1] + 1))
+        vecs = head[None, :, :] + last[:, None, None] * basis[-1]
+        sq = np.sum(vecs**2, axis=2)
+        sq[(last == 0)[:, None] & np.all(inner == 0, axis=1)[None, :]] = np.inf
+        best = min(best, float(sq.min()))
+    return np.sqrt(best)
+
+
+@st.composite
+def skewed_bases(draw):
+    """(basis, low): ``low`` is the lower Cholesky factor of a form with
+    condition number 1 to 1e6, rounded to 26 bits, and ``basis`` is U low for
+    a unimodular U made of up to four row operations, so the two span the
+    same lattice exactly (every product fits in a double)."""
+    g = draw(st.integers(1, 2))
+    cond = draw(st.floats(1.0, 1e6))
+    scale = draw(st.floats(0.1, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = scale * cond ** np.linspace(0.0, 1.0, g)
+    rot, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    low = np.linalg.cholesky(rot @ np.diag(lam) @ rot.T)
+    unit = 2.0 ** (np.ceil(np.log2(np.max(np.abs(low)))) - 26)
+    low = np.round(low / unit) * unit
+    u = np.diag(rng.choice([-1, 1], g))
+    for k in range(draw(st.integers(0, 4)) if g == 2 else 0):
+        u[k % 2] += int(rng.integers(-3, 4)) * u[1 - k % 2]
+    return (u @ low).astype(float), low
+
+
+class TestGaussReduction:
+    """lambda_1 for g <= 2, where Lagrange-Gauss reduction replaces LLL."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(skewed_bases())
+    def test_exact_against_box_scan(self, case):
+        basis, low = case
+        npt.assert_allclose(
+            lattice.shortest_vector_estimate(basis), box_scan_shortest(low), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("basis", [
+        [[1.0, 2.0]],
+        [[0.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[np.inf]],
+        [[1.0, 1.0], [2.0, 2.0]],
+    ])
+    def test_degenerate_rejected(self, basis):
+        with pytest.raises(DegenerateBasis):
+            lattice.shortest_vector_estimate(basis)
+
+
 class TestEnumerateEllipsoid:
     def test_one_dim_interval(self):
         out = lattice.enumerate_ellipsoid([[1.0]], [0.0], 3.5)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -85,6 +87,17 @@ class TestThetaTilde:
         assert np.isfinite(value.log_magnitude)
         assert value.log_magnitude > 690.0
         npt.assert_allclose(value.log_magnitude, log_mag, rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [0.5, 50.0])  # det below and above (2 pi)^2
+    def test_epsilon_outside_unit_interval_rejected(self, eps, scale):
+        # eps >= 1 certifies nothing, and the primal batch's base set need not
+        # hold every argument's best point there.
+        omega = scale * np.eye(2)
+        with pytest.raises(ValueError, match="epsilon"):
+            theta.theta_tilde([0.1, 0.2], omega, eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            theta.theta_tilde_batch([[0.1, 0.2], [0.2, 0.4]], omega, eps)
 
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefinite):
@@ -304,12 +317,16 @@ def ill_conditioned_forms(draw):
     return g, 0.5 * (omega + omega.T), rng
 
 
+def _box_half(z, omega):
+    """Half-width of a box sum accurate to 1e-10 at this Omega and argument."""
+    lam_min = np.linalg.eigvalsh(omega)[0]
+    center = np.linalg.solve(omega, np.real(z))
+    return int(np.max(np.abs(center)) + np.sqrt(100.0 / lam_min)) + 2
+
+
 def _box_reference(x, omega):
     """brute_force_theta with a box wide enough for 1e-10 at this Omega."""
-    lam_min = np.linalg.eigvalsh(omega)[0]
-    center = np.linalg.solve(omega, x)
-    half = int(np.max(np.abs(center)) + np.sqrt(100.0 / lam_min)) + 2
-    return brute_force_theta(x, omega, half=half)[0]
+    return brute_force_theta(x, omega, half=_box_half(x, omega))[0]
 
 
 class TestThetaBatchDual:
@@ -391,3 +408,94 @@ class TestThetaBatchDual:
         for i in range(xs.shape[0]):
             assert abs(log_mag[i] - _box_reference(xs[i], omega)) < 1e-10
         assert np.all(tail <= 1e-12)
+
+
+@st.composite
+def primal_forms(draw):
+    """(g, Omega, rng) with det Omega > (2 pi)^g, where real batches sum primal.
+
+    Eigenvalues run from lam_min in [1, 3] up to lam_min * cond, cond in
+    [1, 100], scaled up where needed to det Omega = excess * (2 pi)^g."""
+    g = draw(st.integers(1, 3))
+    lam_min = draw(st.floats(1.0, 3.0))
+    cond = draw(st.floats(1.0, 100.0))
+    excess = draw(st.floats(1.05, 20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = lam_min * cond ** np.sort(rng.uniform(0.0, 1.0, g))
+    lam *= max(1.0, (excess * (2.0 * np.pi) ** g / np.prod(lam)) ** (1.0 / g))
+    rot, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    omega = rot @ np.diag(lam) @ rot.T
+    return g, 0.5 * (omega + omega.T), rng
+
+
+def _line_batch(rng, g, n):
+    """z = v w + b with v from a mixture of 1-3 narrow components, so the
+    ellipsoid centers of the batch cluster on a few spots of one line."""
+    means = rng.uniform(-1.5, 1.5, int(rng.integers(1, 4)))
+    v = means[rng.integers(0, means.size, n)] + 0.02 * rng.normal(size=n)
+    w, b = rng.normal(scale=1.5, size=g), rng.normal(size=g)
+    return v[:, None] * w + b, v
+
+
+def _primal_batches(rng, g, n=200):
+    """Line and spread batches, each real and complex, by name."""
+    line, v = _line_batch(rng, g, n)
+    spread = rng.uniform(-3.0, 3.0, (n, g))
+    return {
+        "line": line,
+        "complex line": line + 1j * v[:, None] * rng.normal(size=g),
+        "spread": spread,
+        "complex spread": spread + 1j * rng.uniform(-1.0, 1.0, (n, g)),
+    }
+
+
+def _half_cube_radius(omega):
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=omega.shape[0])))
+    return float(np.sqrt(np.max(np.einsum("ij,jk,ik->i", corners, omega, corners))))
+
+
+class TestThetaBatchPrimal:
+    """The primal batch, whose base set is centered on the batch's offsets."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(primal_forms())
+    def test_matches_brute_force(self, case):
+        g, omega, rng = case
+        for name, zs in _primal_batches(rng, g).items():
+            log_mag, phase, tail = theta.theta_tilde_batch(zs, omega, 1e-12)
+            assert np.all(tail <= 1e-12), name
+            for i in rng.choice(zs.shape[0], 4, replace=False):
+                ref_mag, ref_phase = brute_force_theta(zs[i], omega, half=_box_half(zs[i], omega))
+                rel = abs(np.exp(complex(log_mag[i] - ref_mag, phase[i] - ref_phase)) - 1.0)
+                assert rel < 1e-10, name
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(primal_forms())
+    def test_base_radius_within_offsets_reach(self, case):
+        # R + max_i |o_i|_Omega, o_i = c_i - round(c_i), bounds the base
+        # set's radius, and R + the half-cube radius bounds that.
+        g, omega, rng = case
+        form = lattice.Form(omega)
+        cube = _half_cube_radius(omega)
+        batches = _primal_batches(rng, g)
+        # a line whose offsets stay inside (-0.45, 0.45)^g: c_i = s + u + v_i d
+        v = rng.uniform(-1.0, 1.0, 200)
+        d, u = rng.uniform(-0.2, 0.2, g), rng.uniform(-0.25, 0.25, g)
+        s = rng.integers(-2, 3, g)
+        batches["inner line"] = (v[:, None] * d + s + u) @ omega
+        batches["complex inner line"] = batches["inner line"] + 1j * rng.uniform(-1.0, 1.0, g)
+        for name, zs in batches.items():
+            with mock.patch.object(lattice, "enumerate_ellipsoid",
+                                   wraps=lattice.enumerate_ellipsoid) as spy:
+                theta.theta_tilde_batch(zs, form, 1e-12)
+            assert spy.call_count == 1, name
+            radius = spy.call_args.args[2]
+            xs = zs.real
+            r = theta._Centers(form, xs, 1e-12).radius
+            centers = np.linalg.solve(omega, xs.T).T
+            offsets = centers - np.round(centers)
+            reach = np.sqrt(np.max(np.einsum("ij,jk,ik->i", offsets, omega, offsets)))
+            assert radius <= (r + reach) * (1.0 + 1e-12), name
+            assert r + reach <= (r + cube) * (1.0 + 1e-12), name
+            if "inner" in name:
+                assert radius < r + cube, name
