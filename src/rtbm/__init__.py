@@ -47,8 +47,6 @@ from .theta import (
     radius_for_epsilon,
     theta_tilde,
     theta_tilde_batch,
-    theta_tilde_grad,
-    theta_tilde_hess,
 )
 from .train import FitResult, TrainConfig, cma_es_minimize, decode, encode, fit, negative_log_likelihood
 
@@ -97,7 +95,5 @@ __all__ = [
     "shortest_vector_estimate",
     "theta_tilde",
     "theta_tilde_batch",
-    "theta_tilde_grad",
-    "theta_tilde_hess",
     "__version__",
 ]

@@ -172,6 +172,8 @@ def _parse_grid(text):
             raise _CliError(EXIT_USAGE, f"malformed grid axis: {part!r}")
         if steps < 2:
             raise _CliError(EXIT_USAGE, f"grid axis needs at least 2 steps: {part!r}")
+        if not np.all(np.isfinite([lo, hi])):
+            raise _CliError(EXIT_USAGE, f"grid axis bounds must be finite: {part!r}")
         if hi <= lo:
             raise _CliError(EXIT_USAGE, f"grid axis must have min < max: {part!r}")
         axes.append(np.linspace(lo, hi, steps))

@@ -212,15 +212,18 @@ def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
     contiguous integer range.  Returns the (N, g) integer array of exactly
     the solution set (exhaustive, distinct, in no promised order).
 
-    Raises PointBudgetExceeded when the count passes ``budget``.
+    Raises PointBudgetExceeded when the count passes ``budget``, and
+    ValueError unless the radius is positive and finite and the center finite.
     """
     form = Form.of(form, "form")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     g = form.matrix.shape[0]
     if center.shape != (g,):
         raise ValueError(f"center must have shape ({g},), got {center.shape}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not np.isfinite(center).all():
+        raise ValueError(f"center must be finite, got {center}")
     upper = form.low.T  # (n-c)^T Omega (n-c) = ||U (n-c)||^2
 
     points = []

@@ -21,7 +21,7 @@ closed forms:
 
 T, Q and S each have one cached ``lattice.Form`` per model, which derives
 the matrix's factor, log det, inverse, shortest vector and dual form once;
-S's is part of the one Schur pass, ``RtbmModel.schur``, with T^{-1} W and
+S's is part of the one Schur pass, ``RtbmModel.schur``, which also forms
 b_h.  The densities need only the value of theta_b, not its points: it
 comes from the Poisson-dual form of ``theta._dual_batch`` (certified
 relative error r, entered as log V + log1p(r) so that log_norm stays an
@@ -60,12 +60,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class SchurComplement:
     """The hidden-sector parameters derived from (T, Q, W, B_v, B_h).
 
-    ``t_inv_w`` is T^{-1} W, ``form`` the ``lattice.Form`` of the Schur
-    complement S = Q - W^T T^{-1} W (symmetrized) and ``bias`` the linear
-    term b_h = B_h - W^T T^{-1} B_v.
+    ``form`` is the ``lattice.Form`` of the Schur complement
+    S = Q - W^T T^{-1} W (symmetrized) and ``bias`` the linear term
+    b_h = B_h - W^T T^{-1} B_v.
     """
 
-    t_inv_w: np.ndarray
     form: lattice.Form
     bias: np.ndarray
 
@@ -249,7 +248,7 @@ class RtbmModel:
         return self._cache[key]
 
     def schur(self):
-        """The Schur pass (T^{-1} W, the Form of S, b_h), cached.
+        """The Schur pass (the Form of S and b_h, from T^{-1} W), cached.
 
         Raises NotPositiveDefinite when T or S is not positive definite.
         """
@@ -263,7 +262,6 @@ class RtbmModel:
 
     def _set_schur(self, t_inv_w, form):
         self._cache[("schur",)] = SchurComplement(
-            t_inv_w=_freeze(t_inv_w),
             form=form,
             bias=_freeze(self.bh - t_inv_w.T @ self.bv),
         )
@@ -286,15 +284,13 @@ class RtbmModel:
         m._set_schur(t_inv_w, lattice.Form(0.5 * (s + s.T), low=s_low))
         return m
 
-    def hidden_params(self, eps=theta.DEFAULT_EPS, budget=None):
+    def hidden_params(self, eps=theta.DEFAULT_EPS, budget=lattice.POINT_BUDGET):
         """Hidden-sector primal point set, cached per (epsilon, budget)."""
         self._require_valid()
         key = ("hidden", eps, budget)
         if key not in self._cache:
             sc = self.schur()
-            data = theta._theta_sum(
-                -sc.bias, sc.form, eps, budget=budget or lattice.POINT_BUDGET
-            )
+            data = theta._theta_sum(-sc.bias, sc.form, eps, budget=budget)
             tail = data.value.tail_bound
             reduced = abs(data.reduced_sum)
             log_norm = data.max_log_weight + math.log(reduced + tail)
@@ -307,7 +303,7 @@ class RtbmModel:
             )
         return self._cache[key]
 
-    def _log_norm(self, eps, budget):
+    def _log_norm(self, eps, budget=lattice.POINT_BUDGET):
         """log theta_b for the densities, one cached value per (epsilon, budget).
 
         The dual form at -b_h over S, log V + log1p(r): the dual sum V is
@@ -320,9 +316,7 @@ class RtbmModel:
         key = ("log_norm", eps, budget)
         if key not in self._cache:
             sc = self.schur()
-            dual = theta._dual_batch(
-                -sc.bias[None, :], sc.form, eps, budget or lattice.POINT_BUDGET, chunk=1
-            )
+            dual = theta._dual_batch(-sc.bias[None, :], sc.form, eps, budget)
             if dual is None:
                 self._cache[key] = self.hidden_params(eps, budget).log_norm
             else:
@@ -336,7 +330,7 @@ class RtbmModel:
 
     # -- densities ----------------------------------------------------------
 
-    def log_pdf_visible(self, v, eps=theta.DEFAULT_EPS, budget=None):
+    def log_pdf_visible(self, v, eps=theta.DEFAULT_EPS, budget=lattice.POINT_BUDGET):
         """log P(v); accepts one point (nv,) or a batch (n, nv).
 
         ``budget`` caps the enumerated theta points (PointBudgetExceeded
@@ -353,9 +347,7 @@ class RtbmModel:
         quad = np.einsum("ij,jk,ik->i", u, self.t, u)
         log_gauss = self._log_gauss_norm() - 0.5 * quad
         zs = v @ self.w + self.bh
-        log_num, _, _ = theta.theta_tilde_batch(
-            zs, self._form("q"), eps, budget=budget or lattice.POINT_BUDGET
-        )
+        log_num, _, _ = theta.theta_tilde_batch(zs, self._form("q"), eps, budget=budget)
         out = log_gauss + log_num - log_norm
         return float(out[0]) if single else out
 

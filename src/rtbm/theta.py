@@ -11,13 +11,14 @@ the continuous point c = Omega^{-1} Re(z), and the terms decay like a
 Gaussian in the Omega-distance from c.  The evaluator sums exactly the
 integer points inside the ellipsoid (n - c)^T Omega (n - c) <= R^2, with R
 chosen so that a rigorous bound on the omitted tail is below the requested
-epsilon.  The point set depends only on Omega and the ellipsoid center, so
-the same point set feeds the value, the gradient and the second-moment
-sums.  A batch shares one enumeration: shifted by each argument's rounded
-center, it needs to cover only the offsets of the batch's centers from
-their rounded centers, so it is centered on those offsets and widened by
-their spread, not by the whole half-unit cube as in the uniform
-approximation of Deconinck et al. (below).
+epsilon.  The point set depends only on Omega and the ellipsoid center;
+``RtbmModel.hidden_params`` keeps the one behind the hidden normalizer, and
+every hidden-sector expectation is an average over it.  A batch shares
+one enumeration: shifted by each argument's rounded center, it needs to
+cover only the offsets of the batch's centers from their rounded centers,
+so it is centered on those offsets and widened by their spread, not by
+the whole half-unit cube as in the uniform approximation of Deconinck et
+al. (below).
 
 Tail bound.  Writing Omega = L L^T, the terms beyond radius R form a
 Gaussian sum over the shifted lattice {L^T (n - c)} outside the ball of
@@ -89,6 +90,8 @@ DEFAULT_EPS = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+#: Arguments per block of the batch kernels (capped further by scratch memory).
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -175,11 +178,6 @@ class _TailBound:
         return radius
 
 
-def log_tail_bound(g, rho, radius):
-    """log of the certified bound on the reduced theta tail beyond ``radius``."""
-    return _TailBound(g, rho).log_bound(radius)
-
-
 def radius_for_epsilon(omega, epsilon, rho):
     """Smallest radius whose certified tail bound is below ``epsilon``.
 
@@ -199,18 +197,17 @@ def radius_for_epsilon(omega, epsilon, rho):
 class ThetaSum:
     """Value of one theta evaluation together with its summation data.
 
-    ``points`` are the enumerated integer vectors, ``log_weights`` their real
-    exponents -1/2 n^T Omega n + n^T Re(z) and ``terms`` their reduced terms
-    exp(exponent - max_log_weight) (complex for complex z), which add up to
-    ``reduced_sum``.  ``RtbmModel.hidden_params`` keeps one such point set,
-    which the sampler, the CDF and every hidden-sector expectation read.
+    ``points`` are the enumerated integer vectors and ``log_weights`` their
+    real exponents -1/2 n^T Omega n + n^T Re(z); ``reduced_sum`` adds up their
+    terms exp(exponent - max_log_weight) (times exp(i n^T Im(z)) for complex
+    z).  ``RtbmModel.hidden_params`` keeps one such point set, which the
+    sampler, the CDF and every hidden-sector expectation read.
     """
 
     value: ThetaValue
     points: np.ndarray
     log_weights: np.ndarray
     max_log_weight: float
-    terms: np.ndarray
     reduced_sum: complex
 
 
@@ -267,7 +264,6 @@ def _theta_sum(z, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
         points=pts,
         log_weights=log_w,
         max_log_weight=m,
-        terms=terms,
         reduced_sum=reduced,
     )
 
@@ -278,25 +274,6 @@ def theta_tilde(z, omega, eps=DEFAULT_EPS):
     Here and in the other evaluators ``omega`` may be a ``lattice.Form``.
     """
     return _theta_sum(z, omega, eps).value
-
-
-def theta_tilde_grad(z, omega, eps=DEFAULT_EPS):
-    """Gradient of log theta_tilde, plus the theta value.
-
-    Component i is the weighted lattice average (sum n_i w_n) / (sum w_n)
-    over the same point set as the value sum.
-    """
-    data = _theta_sum(z, omega, eps)
-    grad = (data.points.T @ data.terms) / data.reduced_sum
-    return grad, data.value
-
-
-def theta_tilde_hess(z, omega, eps=DEFAULT_EPS):
-    """Second-moment ratios (sum n_i n_j w_n) / (sum w_n), plus the value."""
-    data = _theta_sum(z, omega, eps)
-    pts = data.points.astype(float)
-    hess = (pts.T * data.terms) @ pts / data.reduced_sum
-    return 0.5 * (hess + hess.T), data.value
 
 
 def _offset_cover(offsets, omega):
@@ -316,7 +293,7 @@ def _offset_cover(offsets, omega):
     return min(((m, reach(m)) for m in (mid, np.zeros_like(mid))), key=lambda c: c[1])
 
 
-def _dual_batch(xs, form, eps, budget, chunk):
+def _dual_batch(xs, form, eps, budget):
     """Poisson-dual theta_tilde_batch for real arguments over ``form``, or None.
 
     None means the dual form does not apply: det Omega >= (2 pi)^g, or the
@@ -350,7 +327,7 @@ def _dual_batch(xs, form, eps, budget, chunk):
 
     ys = xs @ form.inverse
     log_mag = 0.5 * (g * _LOG_2PI - form.log_det) + 0.5 * np.einsum("ij,ij->i", xs, ys)
-    chunk = max(1, min(chunk, int(4e6 // max(half.shape[0], 1))))  # cap scratch memory
+    chunk = max(1, min(_CHUNK, int(4e6 // max(half.shape[0], 1))))  # cap scratch memory
     for start in range(0, xs.shape[0], chunk):
         end = min(start + chunk, xs.shape[0])
         cosines = np.cos((2.0 * math.pi * ys[start:end]) @ half.T)
@@ -359,7 +336,7 @@ def _dual_batch(xs, form, eps, budget, chunk):
     return log_mag, np.zeros(n), np.full(n, tail / (1.0 - others))
 
 
-def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, chunk=512):
+def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     """theta_tilde for a batch of arguments sharing one Omega.
 
     For real arguments with det Omega < (2 pi)^g, sums the Poisson-dual
@@ -370,7 +347,8 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     by every argument's rounded center; by the triangle inequality it holds
     each argument's own ellipsoid of radius R.  The certified tail bound
     of each evaluation is below ``eps``.  Returns (log_magnitude, phase,
-    tail_bound) arrays; an empty batch gives empty arrays.
+    tail_bound) arrays; an empty batch gives empty arrays, and a non-finite
+    argument raises ValueError on either path.
     """
     form = lattice.Form.of(omega)
     omega = form.matrix
@@ -378,6 +356,8 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     if zs.shape[1] != g:
         raise ValueError(f"arguments must have {g} columns, got {zs.shape[1]}")
+    if not np.isfinite(zs).all():
+        raise ValueError("arguments must be finite")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     n = zs.shape[0]
@@ -386,7 +366,7 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     xs, ys = zs.real, zs.imag
     complex_args = bool(np.any(ys))
     if not complex_args:
-        dual = _dual_batch(xs, form, eps, budget, chunk)
+        dual = _dual_batch(xs, form, eps, budget)
         if dual is not None:
             return dual
 
@@ -408,7 +388,7 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET, c
     # lattice point lies within sqrt(2 gap_i) of c_i, and log_bound(R) >=
     # -R^2/2 puts that inside R as eps < 1, so it is summed: the reduced sum
     # lies in [exp(-gap_i), point count], safely inside double range.
-    chunk = max(1, min(chunk, int(4e6 // max(base.shape[0], 1))))  # cap scratch memory
+    chunk = max(1, min(_CHUNK, int(4e6 // max(base.shape[0], 1))))  # cap scratch memory
     log_mag = np.empty(n)
     phase = np.empty(n)
     tail = np.empty(n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special
 
-from . import theta
+from . import lattice, theta
 from .errors import ObjectiveNonFinite, RtbmError
 from .model import RtbmModel
 # perfbench/spans.py wraps these names in every module that binds them, so
@@ -103,7 +103,7 @@ def decode(vec, nv, nh):
 # -- likelihood ------------------------------------------------------------------
 
 
-def negative_log_likelihood(m, data, eps=theta.DEFAULT_EPS, budget=None):
+def negative_log_likelihood(m, data, eps=theta.DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     """-sum_i log P(v_i) over the rows of ``data``."""
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:

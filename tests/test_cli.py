@@ -178,7 +178,7 @@ class TestPdfCommand:
         npt.assert_allclose(center[1], 1.0 / np.sqrt(2 * np.pi), atol=1e-9)
 
     def test_malformed_grid_exit_2(self, tmp_path, model_path):
-        for grid in ("5:-5:10", "0:1:1", "a:b:c", "0:1"):
+        for grid in ("5:-5:10", "0:1:1", "a:b:c", "0:1", "nan:1:3", "-inf:0:3", "0:inf:3"):
             rc = main(["pdf", "--model", model_path, "--grid", grid,
                        "--out", str(tmp_path / "o.csv")])
             assert rc == 2

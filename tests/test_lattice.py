@@ -258,6 +258,15 @@ class TestEnumerateEllipsoid:
         with pytest.raises(PointBudgetExceeded):
             lattice.enumerate_ellipsoid(np.eye(2), [0.0, 0.0], 300.0, budget=1000)
 
+    @pytest.mark.parametrize(
+        "center, radius",
+        [([0.0, 0.0], r) for r in (np.nan, np.inf, 0.0, -1.0)]
+        + [([np.nan, 0.0], 1.0), ([0.0, np.inf], 1.0)],
+    )
+    def test_invalid_radius_or_center_rejected(self, center, radius):
+        with pytest.raises(ValueError, match="radius|center"):
+            lattice.enumerate_ellipsoid(np.eye(2), center, radius)
+
     def test_empty_result_allowed(self):
         out = lattice.enumerate_ellipsoid([[1.0]], [0.5], 0.2)
         assert len(out) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtbm import lattice, numerics, theta, train
-from rtbm.errors import InvalidModel, RankDeficient, UnsupportedDimension
+from rtbm.errors import InvalidModel, PointBudgetExceeded, RankDeficient, UnsupportedDimension
 from rtbm.model import RtbmModel
 
 from conftest import (
@@ -89,6 +89,29 @@ class TestLogPdfVisible:
     def test_finite_for_extreme_arguments(self, test_model_1d):
         for v in (-80.0, 80.0):
             assert np.isfinite(test_model_1d.log_pdf_visible([v]))
+
+    @pytest.mark.parametrize("dual", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, serve_doc, dual, bad):
+        if dual:
+            m = RtbmModel.from_dict(serve_doc)
+        else:
+            m = RtbmModel([[1.0]], 50.0 * np.eye(2), [[1.0, 0.5]], [0.0], [0.0, 0.0])
+        ones = np.ones((1, m.nh))
+        numerator = theta._dual_batch(ones, m._form("q"), 1e-12, lattice.POINT_BUDGET)
+        assert (numerator is not None) == dual
+        with pytest.raises(ValueError, match="finite"):
+            m.log_pdf_visible(np.array([[0.5], [bad]]))
+
+    def test_zero_budget_is_a_budget(self, serve_doc):
+        m = RtbmModel.from_dict(serve_doc)
+        with pytest.raises(PointBudgetExceeded):
+            m.hidden_params(budget=0)
+        with pytest.raises(PointBudgetExceeded):
+            m.log_pdf_visible(np.ones(m.nv), budget=0)
+        with pytest.raises(PointBudgetExceeded):
+            train.negative_log_likelihood(m, np.ones((3, m.nv)), budget=0)
+        assert m.hidden_params() is m.hidden_params(budget=lattice.POINT_BUDGET)
 
     def test_phase_two_rejected(self):
         d = RtbmModel([[1.0]], [[2.0]], [[1.0]], [0.0], [0.0]).to_dict()
@@ -180,19 +203,19 @@ class TestDualNormalizer:
         m = model_with_schur(s, seed=s.shape[0])
         sc = m.schur()
         xs = -sc.bias[None, :]
-        assert (theta._dual_batch(xs, sc.form, 1e-12, lattice.POINT_BUDGET, 1) is not None) == dual
+        assert (theta._dual_batch(xs, sc.form, 1e-12, lattice.POINT_BUDGET) is not None) == dual
         assert dual == (np.linalg.slogdet(s)[1] < s.shape[0] * np.log(2.0 * np.pi))
-        log_norm = m._log_norm(1e-12, None)
+        log_norm = m._log_norm(1e-12, lattice.POINT_BUDGET)
         assert abs(log_norm - brute_force_theta(-sc.bias, sc.form.matrix)[0]) < 1e-10
         # The dual value leaves the point set unbuilt; the fallback builds it.
-        assert (("hidden", 1e-12, None) in m._cache) == (not dual)
+        assert (("hidden", 1e-12, lattice.POINT_BUDGET) in m._cache) == (not dual)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-12])
     @pytest.mark.parametrize("s", [c for c, dual in SCHUR_CASES if dual])
     def test_agrees_with_primal_within_eps(self, s, eps):
         m = model_with_schur(s, seed=7)
-        dual = m._log_norm(eps, None)
-        assert ("hidden", eps, None) not in m._cache
+        dual = m._log_norm(eps, lattice.POINT_BUDGET)
+        assert ("hidden", eps, lattice.POINT_BUDGET) not in m._cache
         assert abs(dual - m.hidden_params(eps).log_norm) <= eps
 
     @pytest.mark.parametrize("s", [c for c, _ in SCHUR_CASES])
@@ -368,6 +391,9 @@ class TestHiddenMoments:
     def test_mean_zero_at_zero_bias(self):
         m = RtbmModel([[1.0]], [[2.0]], [[0.0]], [0.0], [0.0])
         npt.assert_allclose(m.hidden_mean(), [0.0], atol=1e-12)
+        omega = random_pd_matrix(np.random.default_rng(6), 3)
+        m = RtbmModel([[1.0]], omega, np.zeros((1, 3)), [0.0], np.zeros(3))
+        npt.assert_allclose(m.hidden_mean(), np.zeros(3), atol=1e-12)
 
     def test_scalar_mean_brute_force(self):
         # omega_h = 2, b_h = 0.5: sum n e^{-n^2 - n/2} / sum e^{-n^2 - n/2}

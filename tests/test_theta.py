@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rtbm import lattice, theta
 from rtbm.errors import NotPositiveDefinite
 
-from conftest import brute_force_theta, brute_force_theta_moments, random_pd_matrix
+from conftest import brute_force_theta, random_pd_matrix
 
 
 def log_theta(z, omega, eps=1e-13):
@@ -204,75 +204,6 @@ class TestRadiusSolve:
         assert radius <= hi * (1.0 + 1e-3)
 
 
-class TestThetaGradient:
-    def test_zero_at_symmetric_point(self):
-        rng = np.random.default_rng(6)
-        omega = random_pd_matrix(rng, 3)
-        grad, _ = theta.theta_tilde_grad(np.zeros(3), omega)
-        npt.assert_allclose(grad, 0.0, atol=1e-12)
-
-    def test_scalar_brute_force_ratio(self):
-        grad, _ = theta.theta_tilde_grad([0.5], [[2.0]])
-        n = np.arange(-10, 11)
-        w = np.exp(-(n**2.0) + 0.5 * n)
-        npt.assert_allclose(grad[0].real, np.sum(n * w) / np.sum(w), rtol=1e-12)
-
-    def test_finite_differences(self):
-        rng = np.random.default_rng(7)
-        h = 1e-5
-        worst = 0.0
-        for _ in range(20):
-            g = int(rng.integers(1, 4))
-            omega = random_pd_matrix(rng, g)
-            z = rng.uniform(-2, 2, g) + 1j * rng.uniform(-1, 1, g)
-            grad, _ = theta.theta_tilde_grad(z, omega, 1e-13)
-            for i in range(g):
-                e = np.zeros(g)
-                e[i] = h
-                lp = log_theta(z + e, omega)
-                lm = log_theta(z - e, omega)
-                d_mag = (lp.real - lm.real) / (2 * h)
-                d_ph = np.angle(np.exp(1j * (lp.imag - lm.imag))) / (2 * h)
-                worst = max(worst, abs(grad[i] - complex(d_mag, d_ph)))
-        assert worst < 1e-6
-
-
-class TestThetaHessian:
-    def test_scalar_second_moment(self):
-        # brute force: sum n^2 e^{-n^2} / sum e^{-n^2} over |n| <= 10
-        second, _ = theta.theta_tilde_hess([0.0], [[2.0]])
-        n = np.arange(-10, 11)
-        w = np.exp(-(n**2.0))
-        expected = np.sum(n**2 * w) / np.sum(w)
-        npt.assert_allclose(second[0, 0].real, expected, rtol=1e-12)
-        npt.assert_allclose(second[0, 0].real, 0.49897907, atol=1e-7)
-
-    def test_diagonal_omega_gives_diagonal_second_moment(self):
-        second, _ = theta.theta_tilde_hess([0.0, 0.0], np.diag([1.5, 2.5]))
-        npt.assert_allclose(second[0, 1], 0.0, atol=1e-12)
-
-    def test_covariance_is_psd_for_real_argument(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            g = int(rng.integers(1, 4))
-            omega = random_pd_matrix(rng, g)
-            z = rng.uniform(-2, 2, g)
-            second, _ = theta.theta_tilde_hess(z, omega)
-            grad, _ = theta.theta_tilde_grad(z, omega)
-            cov = second.real - np.outer(grad.real, grad.real)
-            assert np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) >= -1e-10
-
-    def test_matches_brute_force_moments(self):
-        rng = np.random.default_rng(9)
-        omega = random_pd_matrix(rng, 2)
-        z = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-1, 1, 2)
-        second, _ = theta.theta_tilde_hess(z, omega, 1e-13)
-        grad, _ = theta.theta_tilde_grad(z, omega, 1e-13)
-        _, first_bf, second_bf = brute_force_theta_moments(z, omega)
-        npt.assert_allclose(grad, first_bf, atol=1e-10)
-        npt.assert_allclose(second, second_bf, atol=1e-10)
-
-
 class TestThetaBatch:
     def test_matches_single_evaluations(self):
         rng = np.random.default_rng(10)
@@ -289,15 +220,25 @@ class TestThetaBatch:
                 assert abs(np.angle(np.exp(1j * (phase[i] - single.phase)))) < 1e-10
                 assert tail[i] <= 1e-12 * (1 + 1e-9)
 
-    def test_reassociation_stability(self):
+    def test_reassociation_stability(self, monkeypatch):
         # summation partitioning (chunk size) must not change results beyond
         # floating point reassociation noise
         rng = np.random.default_rng(11)
         omega = random_pd_matrix(rng, 2)
         zs = rng.uniform(-3, 3, (100, 2))
-        a = theta.theta_tilde_batch(zs, omega, chunk=7)[0]
-        b = theta.theta_tilde_batch(zs, omega, chunk=100)[0]
+        b = theta.theta_tilde_batch(zs, omega)[0]
+        monkeypatch.setattr(theta, "_CHUNK", 7)
+        a = theta.theta_tilde_batch(zs, omega)[0]
         npt.assert_allclose(a, b, rtol=1e-13)
+
+    @pytest.mark.parametrize("scale, dual", [(0.5, True), (50.0, False)])  # det vs (2 pi)^2
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_argument_rejected(self, scale, dual, bad):
+        form = lattice.Form(scale * np.eye(2))
+        ones = np.ones((1, 2))
+        assert (theta._dual_batch(ones, form, 1e-12, lattice.POINT_BUDGET) is not None) == dual
+        with pytest.raises(ValueError, match="finite"):
+            theta.theta_tilde_batch([[0.5, 0.0], [bad, 0.0]], form, 1e-12)
 
 
 @st.composite
@@ -365,7 +306,7 @@ class TestThetaBatchDual:
         g, omega, rng = case
         xs = rng.uniform(-3.0, 3.0, (5, g))
         form = lattice.Form(omega)
-        assume((theta._dual_batch(xs, form, 1e-12, lattice.POINT_BUDGET, 512) is not None) == dual)
+        assume((theta._dual_batch(xs, form, 1e-12, lattice.POINT_BUDGET) is not None) == dual)
         plus = theta.theta_tilde_batch(xs, omega, 1e-12)
         minus = theta.theta_tilde_batch(-xs, omega, 1e-12)
         npt.assert_allclose(minus[0], plus[0], rtol=1e-13, atol=1e-12)
@@ -375,7 +316,7 @@ class TestThetaBatchDual:
     def test_dual_used_below_threshold(self, g):
         omega = np.eye(g)  # det 1 < (2 pi)^g; k != 0 mass about 2g e^{-2 pi^2}
         xs = np.random.default_rng(g).uniform(-3.0, 3.0, (5, g))
-        dual = theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET, 512)
+        dual = theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET)
         assert dual is not None
         for i in range(xs.shape[0]):
             assert abs(dual[0][i] - _box_reference(xs[i], omega)) < 1e-10
@@ -392,7 +333,7 @@ class TestThetaBatchDual:
     def test_primal_above_threshold(self):
         omega = 50.0 * np.eye(1)  # det > 2 pi
         xs = np.ones((2, 1))
-        assert theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET, 512) is None
+        assert theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET) is None
 
     def test_guard_failure_falls_back_to_primal(self):
         # det 144 < (2 pi)^3, but the four dual vectors +-e1, +-e2 carry
@@ -403,7 +344,7 @@ class TestThetaBatchDual:
         mass = 4.0 * np.exp(-2.0 * np.pi**2 * a_inv[0, 0])
         assert mass > 0.5 and mass / 2.0 <= 0.5
         xs = np.random.default_rng(0).uniform(-3.0, 3.0, (5, 3))
-        assert theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET, 512) is None
+        assert theta._dual_batch(xs, lattice.Form(omega), 1e-12, lattice.POINT_BUDGET) is None
         log_mag, _, tail = theta.theta_tilde_batch(xs, omega, 1e-12)
         for i in range(xs.shape[0]):
             assert abs(log_mag[i] - _box_reference(xs[i], omega)) < 1e-10
