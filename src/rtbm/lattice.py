@@ -5,19 +5,29 @@ basis vectors; for a quadratic form Omega = L L^T the relevant lattice is
 generated by the rows of the Cholesky factor L.  The module provides
 
   * ``Form``, where a positive definite Omega is factored and its log det,
-    inverse, shortest vector and Poisson-dual form are derived, once each,
+    inverse, shortest vector and Poisson-dual form are derived, once each;
+    the dual is factored from L^{-1}, not again,
   * LLL basis reduction (delta = 0.75 by default),
   * the exact shortest-vector length: by Lagrange-Gauss reduction for
     g <= 2, else scanned from the LLL-reduced basis, and
   * exhaustive enumeration of integer points inside an ellipsoid
     (n - c)^T Omega (n - c) <= R^2 by recursive one-dimensional sections.
+
+The dimensions here are tiny (g <= 4 in practice) and a theta evaluation
+often sums only a few points, so the fixed cost of each call matters more
+than its per-point cost.  The LLL reduction and the enumeration recursion
+therefore run on lists of Python floats, which cost a fraction of numpy
+scalars and of numpy calls on 3x3 arrays.  The enumeration builds its
+output array once, in numpy, from one record per innermost range.
 """
 
 import functools
 import math
+import operator
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import DegenerateBasis, PointBudgetExceeded
 from .numerics import cholesky
@@ -30,19 +40,24 @@ LLL_DELTA = 0.75
 POINT_BUDGET = 10**7
 
 
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
 def _gram_schmidt(basis):
-    """Gram-Schmidt data (orthogonal vectors and mu coefficients) of rows."""
-    g = basis.shape[0]
-    ortho = np.zeros_like(basis)
-    mu = np.zeros((g, g))
-    for i in range(g):
-        ortho[i] = basis[i]
-        for j in range(i):
-            denom = ortho[j] @ ortho[j]
+    """Gram-Schmidt vectors and mu coefficients of the rows of a list of lists."""
+    g = len(basis)
+    ortho = []
+    mu = [[0.0] * g for _ in range(g)]
+    for i, row in enumerate(basis):
+        vec = row
+        for j, o in enumerate(ortho):
+            denom = _dot(o, o)
             if denom <= 0.0:
                 raise DegenerateBasis("Gram determinant underflow in Gram-Schmidt")
-            mu[i, j] = (basis[i] @ ortho[j]) / denom
-            ortho[i] = ortho[i] - mu[i, j] * ortho[j]
+            m = mu[i][j] = _dot(row, o) / denom
+            vec = [v - m * x for v, x in zip(vec, o)]
+        ortho.append(vec)
     return ortho, mu
 
 
@@ -72,28 +87,30 @@ def lll_reduce(basis, delta=LLL_DELTA):
     """
     if not 0.25 < delta < 1.0:
         raise ValueError(f"delta must lie in (0.25, 1), got {delta}")
-    b = _checked_basis(basis)
-    g = b.shape[0]
+    b = _checked_basis(basis).tolist()
+    g = len(b)
     ortho, mu = _gram_schmidt(b)
     k = 1
     while k < g:
         # Size-reduce b_k against all predecessors, updating mu as we go;
         # the Gram-Schmidt vectors are invariant under these subtractions.
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mu_k[j])
             if q != 0:
-                b[k] -= q * b[j]
-                mu[k, :j] -= q * mu[j, :j]
-                mu[k, j] -= q
-        lhs = ortho[k] @ ortho[k]
-        rhs = (delta - mu[k, k - 1] ** 2) * (ortho[k - 1] @ ortho[k - 1])
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for l in range(j):
+                    mu_k[l] -= q * mu[j][l]
+                mu_k[j] -= q
+        lhs = _dot(ortho[k], ortho[k])
+        rhs = (delta - mu_k[k - 1] ** 2) * _dot(ortho[k - 1], ortho[k - 1])
         if lhs >= rhs:
             k += 1
         else:
-            b[[k, k - 1]] = b[[k - 1, k]]
+            b[k - 1], b[k] = b[k], b[k - 1]
             ortho, mu = _gram_schmidt(b)
             k = max(k - 1, 1)
-    return b
+    return np.array(b)
 
 
 @functools.lru_cache(maxsize=256)
@@ -157,11 +174,13 @@ def shortest_vector_estimate(basis):
 class Form:
     """A positive definite matrix Omega and everything derived from it.
 
-    ``matrix`` is Omega (symmetrized) and ``low`` its lower Cholesky factor.
-    ``log_det``, ``inverse``, ``rho`` (lambda_1 of the lattice spanned by the
-    rows of ``low``) and ``dual`` (the Form of 4 pi^2 Omega^{-1}) are computed
-    on first use and kept.  A given ``low`` is trusted, and ``matrix`` with
-    it.  Both arrays are read-only.
+    ``matrix`` is Omega (symmetrized) and ``low`` its lower Cholesky factor
+    L.  ``log_det``, ``low_inv`` (L^{-1}), ``inverse``, ``rho`` (lambda_1 of
+    the lattice spanned by the rows of ``low``) and ``dual`` (the Form of
+    4 pi^2 Omega^{-1} in reversed coordinates, factored from L^{-1}) are
+    computed on first use and kept, so a Form is factored at most once.  A
+    given ``low`` is trusted, and ``matrix`` with it.  Both arrays are
+    read-only.
     """
 
     def __init__(self, matrix, low=None, name="omega"):
@@ -188,10 +207,17 @@ class Form:
         return scipy.linalg.cho_solve((self.low, True), np.asarray(b, dtype=float))
 
     @functools.cached_property
+    def low_inv(self):
+        """L^{-1}, by one triangular inverse (LAPACK dtrtri, no input checks)."""
+        low_inv, info = scipy.linalg.lapack.dtrtri(self.low, lower=1)
+        if info != 0:
+            raise DegenerateBasis(f"singular factor (dtrtri info {info})")
+        return low_inv
+
+    @functools.cached_property
     def inverse(self):
-        """Omega^{-1}, symmetrized."""
-        low_inv = scipy.linalg.solve_triangular(self.low, np.eye(self.low.shape[0]), lower=True)
-        inv = low_inv.T @ low_inv
+        """Omega^{-1} = L^{-T} L^{-1}, symmetrized."""
+        inv = self.low_inv.T @ self.low_inv
         return 0.5 * (inv + inv.T)
 
     @functools.cached_property
@@ -200,7 +226,18 @@ class Form:
 
     @functools.cached_property
     def dual(self):
-        return Form(4.0 * math.pi**2 * self.inverse, name="dual form")
+        """The Form of J 4 pi^2 Omega^{-1} J, J reversing the coordinates.
+
+        4 pi^2 Omega^{-1} = (2 pi L^{-T}) (2 pi L^{-T})^T with L^{-T} upper
+        triangular, so in reversed coordinates 2 pi J L^{-T} J is its lower
+        factor and nothing is factored again.  Its lattice is the rows of
+        2 pi L^{-T} with their coordinates reversed, so ``rho`` is that of
+        4 pi^2 Omega^{-1}; a point k' of its ellipsoids is k = J k'.
+        """
+        flip = slice(None, None, -1)
+        matrix = np.ascontiguousarray((4.0 * math.pi**2 * self.inverse)[flip, flip])
+        low = np.ascontiguousarray((2.0 * math.pi * self.low_inv.T)[flip, flip])
+        return Form(matrix, low=low, name="dual form")
 
 
 def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
@@ -224,46 +261,55 @@ def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if not np.isfinite(center).all():
         raise ValueError(f"center must be finite, got {center}")
-    upper = form.low.T  # (n-c)^T Omega (n-c) = ||U (n-c)||^2
-
-    points = []
-    count = [0]
-    prefix = np.zeros(g, dtype=np.int64)
+    # (n-c)^T Omega (n-c) = ||L^T (n-c)||^2, and row i of L is column i of
+    # L^T; the recursion runs on Python floats (see the module docstring).
+    low = form.low.tolist()
+    heads = [row[:i] for i, row in enumerate(low)]  # U[:i, i] of each level i
+    c = center.tolist()
+    ranges = []  # per innermost range: lo minus the points before it, n_1..n_{g-1}
+    sizes = []
+    count = 0
+    prefix = [0] * g  # prefix[0] holds the range's lo minus the running count
 
     def recurse(i, budget_sq, shift):
-        # shift[j] = sum_{l > i} U[j, l] (n_l - c_l) for j <= i
-        u_ii = upper[i, i]
-        half = np.sqrt(budget_sq) if budget_sq > 0.0 else 0.0
-        lo = int(np.ceil(center[i] + (-half - shift[i]) / u_ii))
-        hi = int(np.floor(center[i] + (half - shift[i]) / u_ii))
+        # shift[j] = sum_{l > i} U[j, l] (n_l - c_l) for j <= i, U = L^T
+        nonlocal count
+        u_ii = low[i][i]
+        half = math.sqrt(budget_sq) if budget_sq > 0.0 else 0.0
+        lo = math.ceil(c[i] + (-half - shift[i]) / u_ii)
+        hi = math.floor(c[i] + (half - shift[i]) / u_ii)
         if hi < lo:
             return
         if i == 0:
-            block = np.arange(lo, hi + 1, dtype=np.int64)
-            count[0] += block.size
-            if count[0] > budget:
+            prefix[0] = lo - count
+            ranges.extend(prefix)
+            sizes.append(hi + 1 - lo)
+            count += sizes[-1]
+            if count > budget:
                 raise PointBudgetExceeded(
                     f"ellipsoid enumeration passed {budget} points"
                 )
-            rows = np.empty((block.size, g), dtype=np.int64)
-            rows[:, 0] = block
-            rows[:, 1:] = prefix[1:]
-            points.append(rows)
             return
         for n_i in range(lo, hi + 1):
             prefix[i] = n_i
-            step = u_ii * (n_i - center[i]) + shift[i]
+            d = n_i - c[i]
+            step = u_ii * d + shift[i]
             rest = budget_sq - step * step
             if rest < 0.0:
                 continue
-            recurse(i - 1, rest, shift + upper[:, i] * (n_i - center[i]))
+            recurse(i - 1, rest, [s + u * d for s, u in zip(shift, heads[i])])
 
     # Recurse with a hair of slack, then filter on the exact quadratic
     # predicate, so boundary membership is decided by one code path only.
     r_sq = radius * radius
-    recurse(g - 1, r_sq * (1.0 + 1e-12) + 1e-300, np.zeros(g))
-    if not points:
+    recurse(g - 1, r_sq * (1.0 + 1e-12) + 1e-300, [0.0] * g)
+    if not sizes:
         return np.empty((0, g), dtype=np.int64)
-    pts = np.concatenate(points, axis=0)
+    # One column per point, repeated from its range's entry; adding the
+    # running index turns the first row into the range itself.
+    table = np.array(ranges, dtype=np.int64).reshape(-1, g).T
+    pts = np.repeat(table, sizes, axis=1)
+    pts[0] += np.arange(count)
+    pts = pts.T
     diff = pts - center
     return pts[np.einsum("ij,jk,ik->i", diff, form.matrix, diff) <= r_sq]

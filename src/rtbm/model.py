@@ -121,6 +121,8 @@ def _as_batch(x, width, name):
         raise ValueError(f"{name} must be a vector or a matrix, got ndim {x.ndim}")
     if x.shape[1] != width:
         raise ValueError(f"{name} must have {width} columns, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
     return x, single
 
 
@@ -389,6 +391,8 @@ class RtbmModel:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.nv,):
             raise ValueError(f"r must have shape ({self.nv},), got {r.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError("r must be finite")
         hp = self.hidden_params(eps)
         phase = self.conditional_mean(hp.points) @ r
         cos, sin = hp._average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
@@ -401,6 +405,8 @@ class RtbmModel:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.nh,):
             raise ValueError(f"r must have shape ({self.nh},), got {r.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError("r must be finite")
         hp = self.hidden_params(eps)
         phase = hp.points @ r
         cos, sin = hp._average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
@@ -456,20 +462,26 @@ class RtbmModel:
     # -- cumulative distribution -------------------------------------------------
 
     def cdf_visible_1d(self, x, eps=theta.DEFAULT_EPS):
-        """P(v <= x) for one-dimensional models, as a weighted sum of normal CDFs."""
+        """P(v <= x) for one-dimensional models, as a weighted sum of normal CDFs.
+
+        The limits x = -inf and +inf give exactly 0 and 1; NaN raises ValueError.
+        """
         self._require_valid()
         if self.nv != 1:
             raise UnsupportedDimension(
                 f"cdf_visible_1d requires nv = 1, got nv = {self.nv}"
             )
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.isnan(xs).any():
+            raise ValueError("x must not be NaN")
         hp = self.hidden_params(eps)
         masses = np.exp(hp.log_weights - hp.log_norm)
         mus = self.conditional_mean(hp.points.astype(float))[:, 0]
         sigma = 1.0 / math.sqrt(self.t[0, 0])
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
         # one (n, points) buffer, reused in place: a fresh temporary this
         # large is a new mmap from the allocator, page-faulted on every call
         zc = xs[:, None] - mus[None, :]
         zc /= sigma
         out = np.clip(scipy.special.ndtr(zc, out=zc) @ masses, 0.0, 1.0)
+        out[xs == math.inf] = 1.0  # the masses sum to 1 - p_outside
         return float(out[0]) if np.ndim(x) == 0 else out

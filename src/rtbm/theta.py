@@ -62,9 +62,12 @@ or enlargement.  Point counts scale as sqrt(det Omega) / (2 pi)^g against
 1 / sqrt(det Omega) for the primal sum, so ``theta_tilde_batch`` uses the
 dual for real arguments when log det Omega < g log(2 pi).  Certificate: the
 k-set is the ellipsoid of A at the radius where the tail bound above, with
-rho the shortest vector of the A-lattice, is tail <= eps/2.  A, with its
-factor and rho, is ``lattice.Form.dual`` of Omega's Form, and log det Omega
-and Omega^{-1} come from that Form too, so a caller that keeps the Form
+rho the shortest vector of the A-lattice, is tail <= eps/2.  The k-set is
+enumerated over ``lattice.Form.dual`` of Omega's Form, which is J A J with
+J reversing the coordinates: with Omega = L L^T, its lower factor is
+2 pi J L^{-T} J, so it needs no factorization of its own.  Its points are
+J k, flipped back before summing, and its rho is that of A.  log det Omega
+and Omega^{-1} come from the same Form, so a caller that keeps the Form
 (the model keeps one per matrix) derives each of them once.  With
 ``others`` the enumerated k != 0 weights plus that tail, the dual sum is at
 least 1 - others; the form is used only when others <= 1/2, and the
@@ -223,7 +226,7 @@ class _Centers:
         self.centers = form.solve(xs.T).T
         self.shifts = np.round(self.centers)
         self.e_cont = 0.5 * np.einsum("ij,ij->i", xs, self.centers)
-        e_round = -0.5 * np.einsum("ij,jk,ik->i", self.shifts, form.matrix, self.shifts)
+        e_round = -0.5 * np.einsum("ij,ij->i", self.shifts @ form.matrix, self.shifts)
         e_round += np.einsum("ij,ij->i", self.shifts, xs)
         self.gaps = np.maximum(self.e_cont - e_round, 0.0)
         self.gap_ub = float(np.max(self.gaps))
@@ -315,6 +318,7 @@ def _dual_batch(xs, form, eps, budget):
         ks = lattice.enumerate_ellipsoid(form.dual, np.zeros(g), radius, budget=budget)
     except PointBudgetExceeded:
         return None
+    ks = ks[:, ::-1]  # the dual Form is in reversed coordinates
     # One k of each pair +-k (first nonzero coordinate positive); the cosine
     # is even in k, so the pair contributes twice the kept term.
     lead = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
@@ -396,12 +400,13 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
         end = min(start + chunk, n)
         s = shifts[start:end]
         x = xs[start:end]
+        s_omega = s @ omega
         row = (
             np.einsum("ij,ij->i", s, x)
-            - 0.5 * np.einsum("ij,jk,ik->i", s, omega, s)
+            - 0.5 * np.einsum("ij,ij->i", s_omega, s)
             - e_cont[start:end]
         )
-        expo = (x - s @ omega) @ base_f.T
+        expo = (x - s_omega) @ base_f.T
         expo += row[:, None]
         expo -= base_q[None, :]
         ref = e_cont[start:end].copy()

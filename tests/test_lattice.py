@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,27 @@ def assert_same_lattice(original, reduced):
     u = reduced @ np.linalg.inv(original)
     npt.assert_allclose(u, np.round(u), atol=1e-8)
     npt.assert_allclose(abs(np.linalg.det(np.round(u))), 1.0, atol=1e-8)
+
+
+@st.composite
+def integer_bases(draw):
+    """A nonsingular integer (g, g) basis, g = 1-4, skewed by up to eight
+    unimodular row operations with multipliers up to 40, as far as the basis
+    stays independent by ``lll_reduce``'s test |det| >= 1e-12 max|b_ij|^g.
+    The entries stay far below 2^53, so float arithmetic on them is exact."""
+    g = draw(st.sampled_from([4, 3, 2, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = rng.integers(-9, 10, size=(g, g))
+    while round(np.linalg.det(basis)) == 0:
+        basis = rng.integers(-9, 10, size=(g, g))
+    det = abs(round(np.linalg.det(basis)))
+    for _ in range(draw(st.integers(0, 8)) if g > 1 else 0):
+        i, j = rng.choice(g, 2, replace=False)
+        row = basis[i] + int(rng.integers(-40, 41)) * basis[j]
+        if 1e-12 * float(max(np.max(np.abs(row)), np.max(np.abs(basis)))) ** g > det:
+            break
+        basis[i] = row
+    return basis.astype(float)
 
 
 class TestLllReduce:
@@ -84,6 +106,18 @@ class TestLllReduce:
     def test_delta_range_enforced(self):
         with pytest.raises(ValueError):
             lattice.lll_reduce(np.eye(2), delta=1.5)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(integer_bases())
+    def test_reduced_unimodular_image_of_skewed_bases(self, basis):
+        # integer input keeps every step of the reduction exact, so the
+        # change of basis can be checked as an exact integer matrix
+        red = lattice.lll_reduce(basis)
+        assert_lll_conditions(red)
+        npt.assert_array_equal(red, np.round(red))
+        u = np.round(np.linalg.solve(basis.T, red.T).T)
+        npt.assert_array_equal(u @ basis, red)
+        assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-6
 
 
 class TestShortestVectorEstimate:
@@ -218,6 +252,47 @@ class TestGaussReduction:
             lattice.shortest_vector_estimate(basis)
 
 
+def box_scan_ellipsoid(omega, center, radius):
+    """Integer points of (n - c)^T Omega (n - c) <= R^2 by a scan of the
+    ellipsoid's bounding box |n_i - c_i| <= R sqrt((Omega^{-1})_ii)."""
+    reach = radius * np.sqrt(np.diag(np.linalg.inv(omega)))
+    axes = [np.arange(np.floor(c - r) - 1, np.ceil(c + r) + 2) for c, r in zip(center, reach)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
+    diff = pts - center
+    return pts[np.einsum("ij,jk,ik->i", diff, omega, diff) <= radius * radius]
+
+
+def box_size(omega, radius):
+    reach = radius * np.sqrt(np.diag(np.linalg.inv(omega)))
+    return float(np.prod(2.0 * reach + 4.0))
+
+
+@st.composite
+def skewed_ellipsoids(draw):
+    """(omega, center, radius): g = 1-4, condition number 1 to 1e4 before a
+    shear by a unit triangular factor, an off-origin center, and a radius
+    aimed at 0.01 to 1e4 points (capped so the bounding box stays below 4e5
+    points)."""
+    g = draw(st.sampled_from([4, 3, 2, 1]))
+    cond = 10.0 ** draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rot, _ = np.linalg.qr(rng.normal(size=(g, g)))
+    shear = np.eye(g) + np.triu(rng.normal(0.0, draw(st.floats(0.0, 3.0)), (g, g)), 1)
+    core = rot @ np.diag(cond ** np.linspace(0.0, 1.0, g)) @ rot.T
+    omega = draw(st.floats(0.05, 20.0)) * shear.T @ core @ shear
+    omega = 0.5 * (omega + omega.T)
+    center = rng.uniform(-50.0, 50.0, g)
+    target = 10.0 ** rng.uniform(-2.0, 4.0)
+    unit_ball = np.pi ** (g / 2) / scipy.special.gamma(g / 2 + 1)
+    radius = (target * np.sqrt(np.linalg.det(omega)) / unit_ball) ** (1.0 / g)
+    radius *= min(1.0, (4e5 / box_size(omega, radius)) ** (1.0 / g))
+    return omega, center, float(radius)
+
+
+def as_set(points):
+    return {tuple(p) for p in np.asarray(points).astype(np.int64).tolist()}
+
+
 class TestEnumerateEllipsoid:
     def test_one_dim_interval(self):
         out = lattice.enumerate_ellipsoid([[1.0]], [0.0], 3.5)
@@ -271,6 +346,15 @@ class TestEnumerateEllipsoid:
         out = lattice.enumerate_ellipsoid([[1.0]], [0.5], 0.2)
         assert len(out) == 0
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(skewed_ellipsoids())
+    def test_exact_set_of_skewed_ellipsoids(self, case):
+        omega, center, radius = case
+        out = lattice.enumerate_ellipsoid(omega, center, radius)
+        assert out.dtype == np.int64 and out.shape[1] == omega.shape[0]
+        assert len(as_set(out)) == len(out)
+        assert as_set(out) == as_set(box_scan_ellipsoid(omega, center, radius))
+
 
 @st.composite
 def pd_matrices(draw):
@@ -294,7 +378,29 @@ class TestForm:
         # the dual lattice is spanned by the rows of 2 pi L^{-T}
         basis = 2.0 * np.pi * np.linalg.inv(np.linalg.cholesky(omega)).T
         npt.assert_allclose(form.dual.rho, lattice.shortest_vector_estimate(basis), rtol=1e-12)
-        npt.assert_allclose(form.dual.matrix, 4.0 * np.pi**2 * form.inverse, rtol=0, atol=0)
+        # the dual is in reversed coordinates, where its factor is lower triangular
+        npt.assert_allclose(
+            form.dual.matrix, (4.0 * np.pi**2 * form.inverse)[::-1, ::-1], rtol=0, atol=0
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(skewed_ellipsoids(), st.floats(1.05, 3.0))
+    def test_dual_factor_and_k_set(self, case, shells):
+        omega, _, _ = case
+        form = lattice.Form(omega)
+        dual = form.dual
+        product = dual.low @ dual.low.T
+        assert np.linalg.norm(product - dual.matrix) <= 1e-12 * np.linalg.norm(dual.matrix)
+        npt.assert_array_equal(dual.low, np.tril(dual.low))
+        # the k-set of 4 pi^2 k^T Omega^{-1} k <= R^2, flipped back from the
+        # dual's reversed coordinates, at a radius reaching a few shells; it
+        # stays off rho, where rounding alone decides the shortest vectors
+        a = 4.0 * np.pi**2 * form.inverse
+        g = omega.shape[0]
+        radius = shells * dual.rho
+        radius *= min(1.0, (4e5 / box_size(a, radius)) ** (1.0 / g))
+        ks = lattice.enumerate_ellipsoid(dual, np.zeros(g), radius)[:, ::-1]
+        assert as_set(ks) == as_set(box_scan_ellipsoid(a, np.zeros(g), radius))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(case=pd_matrices())

@@ -518,6 +518,40 @@ class TestAffineTransform:
             m.affine_transform(np.array([[1.0], [1.0]]), np.zeros(2))
 
 
+class TestNonFiniteInput:
+    """Every density, mass, characteristic function and CDF rejects NaN by
+    naming its argument; only the CDF takes the infinite limits."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda m, b: m.log_pmf_hidden([b, 0.0]), "h", id="log_pmf_hidden"),
+        pytest.param(lambda m, b: m.log_pmf_hidden([[0.0, 0.0], [0.0, b]]), "h",
+                     id="log_pmf_hidden-batch"),
+        pytest.param(lambda m, b: m.characteristic_hidden([b, 0.0]), "r",
+                     id="characteristic_hidden"),
+        pytest.param(lambda m, b: m.characteristic_visible([b]), "r",
+                     id="characteristic_visible"),
+        pytest.param(lambda m, b: m.log_pdf_visible([b]), "v", id="log_pdf_visible"),
+    ])
+    def test_rejected_by_name(self, serve_doc, call, name, bad):
+        m = RtbmModel.from_dict(serve_doc)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(m, bad)
+
+    @pytest.mark.parametrize("x", [np.nan, [0.5, np.nan]])
+    def test_cdf_rejects_nan(self, serve_doc, x):
+        m = RtbmModel.from_dict(serve_doc)
+        with pytest.raises(ValueError, match="^x must not be NaN"):
+            m.cdf_visible_1d(x)
+
+    def test_cdf_limits_are_exact(self, serve_doc):
+        m = RtbmModel.from_dict(serve_doc)
+        assert m.cdf_visible_1d(np.inf) == 1.0
+        assert m.cdf_visible_1d(-np.inf) == 0.0
+        out = m.cdf_visible_1d(np.array([np.inf, 0.0, -np.inf]))
+        assert out[0] == 1.0 and out[2] == 0.0 and 0.0 < out[1] < 1.0
+
+
 class TestCdfVisible1d:
     def test_symmetric_gaussian_midpoint(self):
         m = RtbmModel([[1.0]], [[2.0]], [[0.0]], [0.0], [0.0])

@@ -44,9 +44,10 @@ class TestParamCodec:
 class TestFactorHandOff:
     """decode hands its factors of T and S to the model."""
 
-    def test_one_evaluation_factors_at_most_three_times(self, monkeypatch):
-        # one factor each for Q (validate and the numerator batch share its
-        # Form) and the dual forms of S and Q; T and S arrive from decode
+    def test_one_evaluation_factors_once(self, monkeypatch):
+        # one factor for Q (validate and the numerator batch share its Form);
+        # T and S arrive from decode, and the dual forms of S and Q reuse
+        # their primal factors' inverses
         calls = []
 
         def counting(m, name="matrix", _inner=numerics.cholesky):
@@ -68,7 +69,7 @@ class TestFactorHandOff:
                 cand, data, train.TRAIN_EPS, budget=train.TRAIN_POINT_BUDGET
             )
             assert np.isfinite(nll)
-            assert len(calls) <= 3, calls
+            assert len(calls) <= 1, calls
             scored += 1
         assert scored >= 10
 
