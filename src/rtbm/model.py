@@ -28,7 +28,10 @@ relative error r, entered as log V + log1p(r) so that log_norm stays an
 upper bound on log theta_b), else from ``hidden_params``.  That primal
 point set is the one enumeration of the hidden sector: the sampler, the
 CDF and the hidden pmf read it, and the moments and both characteristic
-functions are mass-weighted averages over its points.
+functions are mass-weighted averages over its points.  In 1d every mixture
+component has the same width, so ``cdf_visible_1d`` evaluates a batch from
+small Taylor tables at nodes one width apart, with a remainder bounded by
+Cramer's inequality, in place of one normal CDF per point and hidden state.
 
 All densities are exposed in log domain; theta magnitudes can be
 astronomically large, but their logs and ratios are stable.  Only real
@@ -37,6 +40,7 @@ any other phase.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -462,26 +466,232 @@ class RtbmModel:
     # -- cumulative distribution -------------------------------------------------
 
     def cdf_visible_1d(self, x, eps=theta.DEFAULT_EPS):
-        """P(v <= x) for one-dimensional models, as a weighted sum of normal CDFs.
+        """P(v <= x) for one-dimensional models; a scalar gives a float, an
+        array keeps its shape.
 
-        The limits x = -inf and +inf give exactly 0 and 1; NaN raises ValueError.
+        F(x) = sum_h m_h Phi(sqrt(T) (x - mu(h))) over the points of
+        ``hidden_params``, whose masses m_h sum to M = 1 - ``p_outside``;
+        every component has the same width 1 / sqrt(T).  Batches are evaluated
+        from Taylor tables, as in the fast Gauss transform (Greengard & Strain
+        1991).  The nodes x_j sit one width apart, so every x is within half a
+        width of one.  A node that holds at least ``_CDF_NODE_POINTS`` points
+        gets the ``_CDF_ORDER`` Taylor coefficients of F in sqrt(T) (x - x_j),
+        and each of its points costs one Horner pass.  The other points, and
+        nodes whose lower mass F (or upper mass M - F) is below
+        ``_CDF_TAIL_MASS``, take the direct sum of normal CDFs, which keeps
+        ndtr's relative accuracy in the tails; so does a batch too small to
+        pay for tables.  Above the weighted median of the means both paths
+        evaluate the upper mass G and return M - G, so values near 1 are not
+        sums of many rounded terms and stay non-decreasing.
+
+        |returned - F_true| <= ``p_outside`` + M ``_taylor_remainder(_CDF_ORDER)``
+        (6.3e-18) + rounding.  The masses and the omitted states are off by
+        at most ``p_outside`` in all; the tables' Lagrange remainder is
+        bounded by Cramer's inequality.  Where every component's upper tail
+        underflows (x = +inf, or about 38 widths above every mean) the value
+        is exactly 1, and at x = -inf and far below it is exactly 0.  NaN
+        raises ValueError.
         """
         self._require_valid()
         if self.nv != 1:
             raise UnsupportedDimension(
                 f"cdf_visible_1d requires nv = 1, got nv = {self.nv}"
             )
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        xs = np.asarray(x, dtype=float)
         if np.isnan(xs).any():
             raise ValueError("x must not be NaN")
         hp = self.hidden_params(eps)
-        masses = np.exp(hp.log_weights - hp.log_norm)
-        mus = self.conditional_mean(hp.points.astype(float))[:, 0]
-        sigma = 1.0 / math.sqrt(self.t[0, 0])
-        # one (n, points) buffer, reused in place: a fresh temporary this
-        # large is a new mmap from the allocator, page-faulted on every call
-        zc = xs[:, None] - mus[None, :]
-        zc /= sigma
-        out = np.clip(scipy.special.ndtr(zc, out=zc) @ masses, 0.0, 1.0)
-        out[xs == math.inf] = 1.0  # the masses sum to 1 - p_outside
-        return float(out[0]) if np.ndim(x) == 0 else out
+        key = ("cdf", eps)
+        if key not in self._cache:
+            self._cache[key] = _VisibleCdf(
+                self.conditional_mean(hp.points)[:, 0],
+                np.exp(hp.log_weights - hp.log_norm),
+                math.sqrt(self.t[0, 0]),
+            )
+        out = self._cache[key](xs.ravel())
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+#: Cramer's constant, rounded up: |He_n(z)| exp(-z^2 / 4) <= _CRAMER sqrt(n!)
+#: for every real z and n >= 0 (Abramowitz & Stegun 22.14.17, whose H_n are
+#: 2^(n/2) He_n(z sqrt 2)).
+_CRAMER = 1.0865
+
+
+def _taylor_remainder(k):
+    """Bound on |Phi(z + d) - sum_{i<k} Phi^(i)(z) d^i / i!| over real z, |d| <= 1/2.
+
+    The Lagrange remainder is Phi^(k)(xi) d^k / k!, and
+    Phi^(k) = (-1)^(k-1) He_{k-1} phi with |He_{k-1} phi| <= _CRAMER
+    sqrt((k-1)!) / sqrt(2 pi).
+    """
+    return (_CRAMER / math.sqrt(2.0 * math.pi) * math.sqrt(math.factorial(k - 1))
+            * 0.5**k / math.factorial(k))
+
+
+#: Bound on the CDF tables' Taylor remainder per unit of hidden mass, a tenth
+#: of the unit roundoff.
+_CDF_TAYLOR_TOL = 1e-17
+
+#: Coefficients per node table: the least order whose remainder meets
+#: _CDF_TAYLOR_TOL (21).
+_CDF_ORDER = next(k for k in itertools.count(1) if _taylor_remainder(k) <= _CDF_TAYLOR_TOL)
+
+#: Points a node must hold to get a table; fewer take the direct sum.
+_CDF_NODE_POINTS = 2 * _CDF_ORDER
+
+#: Building tables costs about a hundred numpy calls, so a batch builds them
+#: only when their points would cost at least this many normal CDFs (points
+#: times hidden states) on the direct sum.
+_CDF_TABLE_TERMS = 1 << 15
+
+#: Nodes whose lower (or upper) mass is below this take the direct sum.
+_CDF_TAIL_MASS = 1e-3
+
+#: Elements of one (points x hidden states) block of the direct sum.
+_CDF_BLOCK = 1 << 15
+
+#: Points per Horner block: each of its few buffers is 32 KB, so they come
+#: from the allocator's heap and are reused from block to block.
+_CDF_HORNER_CHUNK = 1 << 12
+
+
+class _VisibleCdf:
+    """F(x) = sum_h m_h Phi(s (x - mu_h)), s = sqrt(T), and its node tables.
+
+    Nodes sit at x_j = split + j / s for integers j, with ``split`` the
+    weighted median of the means, where F and G = M - F are both at least
+    M / 4.  Up to node 0 the tables and the direct sum give F; from node 1
+    on they give G, in the variable -(x - x_j) s, and the result is M - G.
+    """
+
+    def __init__(self, mus, masses, scale):
+        self.mus = mus
+        self.masses = masses
+        self.scale = scale
+        self.total = float(masses.sum())
+        order = mus.argsort(kind="stable")  # on a few hundred points, cheaper than the default
+        cum = masses[order].cumsum()
+        self.split = float(mus[order[cum.searchsorted(0.5 * cum[-1])]])
+        self.upper_from = self.split + 0.5 / scale  # where node 1 begins
+
+    def __call__(self, x):
+        out = None
+        if x.size * self.mus.size >= _CDF_TABLE_TERMS:
+            out = self._tabulated(x)
+        if out is None:
+            out = self._direct(x)
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    def _direct(self, x):
+        """The direct sum, at most ``_CDF_BLOCK`` (point, state) pairs at a time."""
+        rows = max(1, _CDF_BLOCK // self.mus.size)
+        if x.size <= rows:
+            return self._block(x)
+        out = np.empty(x.size)
+        for lo in range(0, x.size, rows):
+            out[lo:lo + rows] = self._block(x[lo:lo + rows])
+        return out
+
+    def _block(self, x):
+        """F at x, or M - G above the split."""
+        upper = x > self.upper_from
+        z = np.subtract.outer(x, self.mus)
+        z *= self.scale
+        np.negative(z, out=z, where=upper[:, None])
+        mass = scipy.special.ndtr(z, out=z) @ self.masses
+        # G is 0 only where every upper tail underflows: F is 1 there, as at +inf
+        one = upper & (mass == 0.0)
+        np.subtract(self.total, mass, out=mass, where=upper)
+        mass[one] = 1.0
+        return mass
+
+    def _tabulated(self, x):
+        """F at x, with the points of dense, non-tail nodes evaluated from
+        their tables and the others by the direct sum; None when no node gets
+        a table.
+
+        Besides the result, only the node numbers are as long as the batch;
+        the rest works ``_CDF_HORNER_CHUNK`` points at a time, in buffers the
+        allocator reuses from chunk to chunk.
+        """
+        # 41 widths beyond every mean each Phi is exactly 0 or 1, and such
+        # nodes are tail nodes; clamping keeps the node numbers finite.
+        lo, hi = self.mus.min() - 41.0 / self.scale, self.mus.max() + 41.0 / self.scale
+        nodes = np.clip(x, lo, hi)
+        nodes -= self.split
+        nodes *= self.scale
+        np.rint(nodes, out=nodes)
+        first = nodes.min()
+        nodes -= first
+        idx = nodes.astype(np.intp)
+        del nodes
+        span = int(idx.max()) + 1
+        if span <= 2 * x.size:  # memory O(n) either way
+            values, counts = first + np.arange(span), np.bincount(idx)
+        else:
+            values, idx, counts = np.unique(idx, return_inverse=True, return_counts=True)
+            values = first + values
+        dense = np.flatnonzero(counts >= _CDF_NODE_POINTS)
+        if counts[dense].sum() * self.mus.size < _CDF_TABLE_TERMS:
+            return None
+        j = values[dense]
+        z = np.subtract.outer(self.split + j / self.scale, self.mus)
+        z *= np.where(j > 0, -self.scale, self.scale)[:, None]
+        mass = scipy.special.ndtr(z) @ self.masses  # F(x_j), or G(x_j) above the split
+        keep = mass >= _CDF_TAIL_MASS
+        if not keep.any():
+            return None
+        coef = self._tables(z[keep], mass[keep])
+        table = np.full(values.size, -1)
+        table[dense[keep]] = np.arange(coef.shape[1])
+        out = np.empty(x.size)
+        rest = []
+        for start in range(0, x.size, _CDF_HORNER_CHUNK):
+            s = slice(start, start + _CDF_HORNER_CHUNK)
+            k = idx[s]
+            ix, j = table.take(k), values.take(k)
+            upper = j > 0
+            d = j / self.scale
+            d += self.split
+            # a point left to the direct sum (ix = -1) runs through table 0,
+            # which mode="clip" picks, on its clamped x: finite values that
+            # the direct sum overwrites below, never inf * 0
+            np.subtract(np.clip(x[s], lo, hi), d, out=d)
+            d *= self.scale
+            np.negative(d, out=d, where=upper)
+            # one coefficient row at a time: a (_CDF_ORDER, chunk) gather
+            # would be a fresh mmap, page-faulted on every call
+            acc = coef[-1].take(ix, mode="clip")
+            row = np.empty_like(acc)
+            for i in range(_CDF_ORDER - 2, -1, -1):
+                acc *= d
+                acc += coef[i].take(ix, out=row, mode="clip")
+            np.subtract(self.total, acc, out=out[s], where=upper)
+            np.copyto(out[s], acc, where=~upper)
+            direct = np.flatnonzero(ix < 0)
+            if direct.size:
+                rest.append(direct + start)
+        if rest:
+            rest = np.concatenate(rest)
+            out[rest] = self._direct(x[rest])
+        return out
+
+    def _tables(self, z, mass):
+        """(``_CDF_ORDER``, nodes) Taylor coefficients of sum_h m_h Phi(z_h + d) in d.
+
+        Row 0 is ``mass``, the value at d = 0, and row k is
+        (-1)^(k-1) / k! sum_h m_h He_{k-1}(z_h) phi(z_h), with He from its
+        three-term recurrence.  z is clamped to +-40, where phi underflows
+        to 0, so He stays finite.
+        """
+        z = np.clip(z, -40.0, 40.0)
+        w = np.exp(-0.5 * z * z) * (self.masses / math.sqrt(2.0 * math.pi))
+        coef = np.empty((_CDF_ORDER, z.shape[0]))
+        coef[0] = mass
+        he_prev, he = np.zeros_like(z), np.ones_like(z)  # He_{-1} = 0, He_0 = 1
+        for k in range(1, _CDF_ORDER):
+            coef[k] = np.einsum("ij,ij->i", w, he) * ((-1) ** (k - 1) / math.factorial(k))
+            if k + 1 < _CDF_ORDER:
+                he_prev, he = he, z * he - (k - 1) * he_prev
+        return coef

@@ -84,9 +84,13 @@ def chi2_rtbm(hist, m, eps=theta.DEFAULT_EPS):
     """
     if m.nv != 1:
         raise UnsupportedDimension(f"chi2_rtbm requires nv = 1, got nv = {m.nv}")
-    p = np.exp(m.log_pdf_visible(hist.lower_edges.reshape(-1, 1), eps))
+    return _chi2(hist.densities, np.exp(m.log_pdf_visible(hist.lower_edges.reshape(-1, 1), eps)))
+
+
+def _chi2(o, p):
+    """chi2_rtbm's sum for bin densities o and model densities p."""
     keep = p > 1e-300
-    o = hist.densities[keep]
+    o = o[keep]
     p = p[keep]
     return float(np.sum((o - p) ** 2 / p))
 
@@ -207,9 +211,8 @@ def build_report(m, samples, reference, bins=DEFAULT_BINS, eps=theta.DEFAULT_EPS
     hist = histogram(samples, bins)
     model_pdf = np.exp(m.log_pdf_visible(hist.lower_edges.reshape(-1, 1), eps))
     ref_hist = histogram(reference, bins, rng=(hist.edges[0], hist.edges[-1]))
-    chi2 = chi2_rtbm(hist, m, eps)
     return ValidationReport(
-        chi2_over_bins=chi2 / hist.n_bins,
+        chi2_over_bins=_chi2(hist.densities, model_pdf) / hist.n_bins,
         mse_sampling_rtbm=mse(hist.densities, model_pdf),
         mse_sampling_pdf=mse(hist.densities, ref_hist.densities),
         mse_pdf_rtbm=mse(ref_hist.densities, model_pdf),

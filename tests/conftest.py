@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from rtbm.model import RtbmModel
 
@@ -103,6 +104,42 @@ def brute_force_log_pdf_visible(m, v, max_half=48):
         half = min(2 * half, max_half)
     log_z = 0.5 * nv * np.log(2.0 * np.pi) - 0.5 * log_det_t + log_norm[0]
     return log_gauss_v + log_num - log_z
+
+
+def brute_force_cdf_visible_1d(m, x, max_half=48):
+    """P(v <= x) of an nv = 1 model by a box sum over Z^nh.
+
+    Uses only the raw parameters and numpy/scipy: P(h) is proportional to
+    exp(-1/2 h^T S h - b^T h) with S = Q - W^T W / T and b = B_h - W^T B_v / T
+    formed here, and the CDF is sum_h P(h) Phi(sqrt(T) (x - mu(h))) with
+    mu(h) = -(W h + B_v) / T.  The box half-width doubles from 4 until every
+    log weight on the box faces is 50 below the largest; RuntimeError if that
+    needs more than ``max_half``.  States 60 below the largest log weight are
+    dropped (their total mass is far below 1e-16).
+    """
+    t = float(m.t[0, 0])
+    w = m.w[0]
+    s = m.q - np.outer(w, w) / t
+    b = m.bh - w * m.bv[0] / t
+    half = 4
+    while True:
+        pts, on_face = _box_points(w.size, half)
+        log_w = -0.5 * np.einsum("ij,jk,ik->i", pts, s, pts) - pts @ b
+        if np.max(log_w[on_face]) < np.max(log_w) - 50.0:
+            break
+        if half >= max_half:
+            raise RuntimeError(f"box sum not converged at half-width {half} (cap {max_half})")
+        half = min(2 * half, max_half)
+    keep = log_w > np.max(log_w) - 60.0
+    mass = np.exp(log_w[keep] - np.max(log_w))
+    mass /= np.sum(mass)
+    mus = -(pts[keep] @ w + m.bv[0]) / t
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty(x.size)
+    for lo in range(0, x.size, 256):
+        z = (x[lo:lo + 256, None] - mus[None, :]) * np.sqrt(t)
+        out[lo:lo + 256] = scipy.special.ndtr(z) @ mass
+    return out
 
 
 def brute_force_ellipsoid(omega, center, radius):

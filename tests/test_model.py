@@ -1,16 +1,23 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtbm import lattice, numerics, theta, train
+from rtbm import lattice, model, numerics, theta, train
 from rtbm.errors import InvalidModel, PointBudgetExceeded, RankDeficient, UnsupportedDimension
 from rtbm.model import RtbmModel
+from rtbm.sampler import RngStream, sample_visible
 
 from conftest import (
+    brute_force_cdf_visible_1d,
     brute_force_theta,
     brute_force_theta_moments,
     random_pd_matrix,
@@ -582,6 +589,149 @@ class TestCdfVisible1d:
         m = random_valid_model(rng, nv=2, nh=1)
         with pytest.raises(UnsupportedDimension):
             m.cdf_visible_1d(0.0)
+
+
+def _model_1d(seed, nh, wide):
+    """A valid nv = 1 model.  Narrow ones have their means within a few widths
+    1 / sqrt(T) of each other; wide ones spread them over tens of widths."""
+    rng = np.random.default_rng(seed)
+    t = np.array([[rng.uniform(0.3, 3.0)]])
+    s = random_pd_matrix(rng, nh, ridge=0.5) * (0.3 if wide else 1.0)
+    w = rng.normal(scale=3.0 if wide else 0.7, size=(1, nh))
+    q = s + w.T @ np.linalg.solve(t, w)
+    return RtbmModel(t, 0.5 * (q + q.T), w, rng.normal(scale=0.5, size=1),
+                     rng.normal(scale=0.5, size=nh))
+
+
+def _normal_cdf_sum(m, x):
+    """The CDF as one normal CDF per (point, hidden state) over ``hidden_params``:
+    the direct formula the node tables must reproduce."""
+    hp = m.hidden_params()
+    masses = np.exp(hp.log_weights - hp.log_norm)
+    mus = m.conditional_mean(hp.points)[:, 0]
+    sigma = 1.0 / np.sqrt(m.t[0, 0])
+    return np.concatenate([
+        np.clip(scipy.special.ndtr((x[lo:lo + 256, None] - mus) / sigma) @ masses, 0.0, 1.0)
+        for lo in range(0, x.size, 256)
+    ])
+
+
+def _grid_1d(m, n, sigmas=15.0):
+    """n sorted points from sigmas widths below the lowest mean to as far above the highest."""
+    mus = m.conditional_mean(m.hidden_params().points)[:, 0]
+    sigma = 1.0 / np.sqrt(m.t[0, 0])
+    return np.linspace(mus.min() - sigmas * sigma, mus.max() + sigmas * sigma, n)
+
+
+_models_1d = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+
+
+class TestCdfTables:
+    """The node tables against the direct sum and a box-sum oracle."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_models_1d)
+    def test_matches_the_normal_cdf_sum(self, params):
+        m = _model_1d(*params)
+        x = _grid_1d(m, 4001)
+        got = m.cdf_visible_1d(x)
+        want = _normal_cdf_sum(m, x)
+        assert np.max(np.abs(got - want)) <= 2e-15
+        tail = want < 1e-3
+        assert np.all(np.abs(got[tail] - want[tail]) <= 1e-10 * want[tail])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_models_1d)
+    def test_non_decreasing_on_dense_grids(self, params):
+        m = _model_1d(*params)
+        assert np.all(np.diff(m.cdf_visible_1d(_grid_1d(m, 20001))) >= 0.0)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(_models_1d)
+    def test_within_p_outside_of_the_box_sum(self, params):
+        m = _model_1d(*params)
+        x = _grid_1d(m, 2001, sigmas=5.0)
+        err = np.max(np.abs(m.cdf_visible_1d(x) - brute_force_cdf_visible_1d(m, x)))
+        assert err <= m.hidden_params().p_outside + 1e-14
+
+    def test_nodes_spanning_more_than_twice_the_batch(self):
+        # means 400 widths apart, over thousands of widths: two dense clusters
+        # and the far points span more nodes than twice the batch, so the
+        # nodes are counted by sorting
+        m = RtbmModel([[1.0]], [[160000.7]], [[400.0]], [0.0], [-0.35])
+        mus = m.conditional_mean(m.hidden_params().points)[:, 0]
+        rng = np.random.default_rng(21)
+        x = np.concatenate([rng.normal(0.0, 0.3, 1100), rng.normal(-400.0, 0.3, 1100),
+                            [mus.min() - 50.0, mus.max() + 50.0]])
+        assert np.ptp(mus) > 2 * x.size
+        x.sort()
+        got = m.cdf_visible_1d(x)
+        assert got[0] == 0.0 and got[-1] == 1.0  # 50 widths beyond every mean
+        assert np.max(np.abs(got - _normal_cdf_sum(m, x))[1:-1]) <= 2e-15
+        assert np.all(np.diff(got) >= 0.0)
+
+    @pytest.mark.parametrize("seed, nh, wide", [(3, 1, False), (5, 2, True), (8, 3, True)])
+    def test_limits_are_exact_without_warnings(self, serve_doc, seed, nh, wide):
+        for m in (RtbmModel.from_dict(serve_doc), _model_1d(seed, nh, wide)):
+            x = np.concatenate([[np.inf, 1e300, -1e300, -np.inf], _grid_1d(m, 4000)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = m.cdf_visible_1d(x)
+                assert [m.cdf_visible_1d(v) for v in (np.inf, 1e300, -1e300, -np.inf)] == [1, 1, 0, 0]
+            assert out[:4].tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_shapes(self, serve_doc):
+        m = RtbmModel.from_dict(serve_doc)
+        x = _grid_1d(m, 3000, sigmas=3.0)
+        flat = m.cdf_visible_1d(x)
+        assert flat.shape == (3000,)
+        column = m.cdf_visible_1d(x[:, None])
+        assert column.shape == (3000, 1)
+        npt.assert_array_equal(column[:, 0], flat)
+        one = m.cdf_visible_1d(float(x[1234]))
+        assert isinstance(one, float)
+        assert abs(one - flat[1234]) <= 2e-15
+
+    def test_memory_is_bounded(self, serve_doc):
+        m = RtbmModel.from_dict(serve_doc)
+        x = sample_visible(m, 10**5, RngStream(3)).samples[:, 0]
+        m.cdf_visible_1d(x[:64])
+        tracemalloc.start()
+        try:
+            m.cdf_visible_1d(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestCdfBound:
+    """The Taylor order comes from a proven bound on the remainder."""
+
+    def test_cramer_inequality(self):
+        z = np.linspace(-45.0, 45.0, 180001)
+        for n in range(model._CDF_ORDER):
+            he = scipy.special.eval_hermitenorm(n, z)
+            bound = model._CRAMER * math.sqrt(math.factorial(n))
+            assert np.max(np.abs(he) * np.exp(-0.25 * z * z)) <= bound
+
+    def test_order_is_the_least_that_meets_the_tolerance(self):
+        k = model._CDF_ORDER
+        assert model._taylor_remainder(k) <= model._CDF_TAYLOR_TOL < model._taylor_remainder(k - 1)
+
+    def test_remainder_bounds_the_truncated_series(self):
+        # one component, evaluated at its own node: the truncation error of the
+        # order-k series never exceeds the stated remainder, for every k
+        z = np.linspace(-8.0, 8.0, 161)
+        d = np.array([-0.5, -0.3, 0.1, 0.5])
+        exact = scipy.special.ndtr(z[:, None] + d)
+        for k in range(2, model._CDF_ORDER + 1):
+            series = scipy.special.ndtr(z)[:, None] + sum(
+                (-1) ** (i - 1) * scipy.special.eval_hermitenorm(i - 1, z)[:, None]
+                * np.exp(-0.5 * z[:, None] ** 2) / math.sqrt(2 * math.pi) * d**i / math.factorial(i)
+                for i in range(1, k)
+            )
+            assert np.max(np.abs(series - exact)) <= model._taylor_remainder(k) + 1e-15
 
 
 class TestSerialization:

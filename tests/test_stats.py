@@ -179,3 +179,29 @@ class TestBuildReport:
         d = report.to_dict()
         assert set(d["moments"]) == {"sampling", "model", "reference"}
         assert d["n_bins"] == 50
+
+    def test_fields_are_the_public_metrics_and_the_pdf_is_evaluated_once(self, serve_doc, monkeypatch):
+        m = RtbmModel.from_dict(serve_doc)
+        s = sample_visible(m, 20_000, RngStream(11)).samples[:, 0]
+        ref = np.random.default_rng(12).gamma(7.5, 1.0, 5000)
+        hist = stats.histogram(s)
+        model_pdf = np.exp(m.log_pdf_visible(hist.lower_edges.reshape(-1, 1)))
+        ref_dens = stats.histogram(ref, rng=(hist.edges[0], hist.edges[-1])).densities
+        want = stats.ValidationReport(
+            chi2_over_bins=stats.chi2_rtbm(hist, m) / hist.n_bins,
+            mse_sampling_rtbm=stats.mse(hist.densities, model_pdf),
+            mse_sampling_pdf=stats.mse(hist.densities, ref_dens),
+            mse_pdf_rtbm=stats.mse(ref_dens, model_pdf),
+            ks=stats.ks_distance(s, m.cdf_visible_1d),
+            moments_sampling=stats.central_moments(s),
+            moments_model=stats.model_moments_1d(m),
+            moments_reference=stats.central_moments(ref),
+            n_samples=s.size,
+            n_bins=hist.n_bins,
+        )
+        calls = []
+        log_pdf = RtbmModel.log_pdf_visible
+        monkeypatch.setattr(RtbmModel, "log_pdf_visible",
+                            lambda self, *a, **k: calls.append(1) or log_pdf(self, *a, **k))
+        assert stats.build_report(m, s, ref) == want
+        assert len(calls) == 1
