@@ -26,7 +26,6 @@ import math
 import operator
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import DegenerateBasis, PointBudgetExceeded
@@ -203,8 +202,16 @@ class Form:
         return 2.0 * float(np.sum(np.log(np.diag(self.low))))
 
     def solve(self, b):
-        """Omega^{-1} b, column by column for a matrix ``b``."""
-        return scipy.linalg.cho_solve((self.low, True), np.asarray(b, dtype=float))
+        """Omega^{-1} b, column by column for a matrix ``b``.
+
+        LAPACK dpotrs on the cached factor: the routine ``cho_solve`` wraps,
+        without its finiteness scans.  ``b`` must be finite; every caller
+        passes a validated model's parameters or input already checked.
+        """
+        x, info = scipy.linalg.lapack.dpotrs(self.low, np.asarray(b, dtype=float), lower=1)
+        if info != 0:
+            raise ValueError(f"dpotrs argument {-info} is invalid")
+        return x
 
     @functools.cached_property
     def low_inv(self):

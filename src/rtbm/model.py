@@ -26,9 +26,13 @@ b_h.  The densities need only the value of theta_b, not its points: it
 comes from the Poisson-dual form of ``theta._dual_batch`` (certified
 relative error r, entered as log V + log1p(r) so that log_norm stays an
 upper bound on log theta_b), else from ``hidden_params``.  That primal
-point set is the one enumeration of the hidden sector: the sampler, the
-CDF and the hidden pmf read it, and the moments and both characteristic
-functions are mass-weighted averages over its points.  In 1d every mixture
+point set is the one enumeration of the hidden sector.  The hidden pmf
+reads it, and ``RtbmModel._mixture`` builds on it the one mixture table
+per epsilon: the normalized masses P(h), the component means mu(h) and,
+for the sampler, Walker's alias table over the masses.  The sampler, the
+CDF, the moments and both characteristic functions read that table (the
+moments and characteristic functions are mass-weighted averages over its
+points), so each mu(h) is computed once.  In 1d every mixture
 component has the same width, so ``cdf_visible_1d`` evaluates a batch from
 small Taylor tables at nodes one width apart, with a remainder bounded by
 Cramer's inequality, in place of one normal CDF per point and hidden state.
@@ -39,6 +43,7 @@ cross couplings (phase I of the paper) are modelled; ``from_dict`` rejects
 any other phase.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -83,8 +88,7 @@ class HiddenGaussianParams:
     ``log_norm`` is log(theta_n + eps(R)), so the enumerated masses sum to
     theta_n / (theta_n + eps(R)) < 1, and ``p_outside`` is the certified
     bound eps(R) / (theta_n + eps(R)) on the mass outside the ellipsoid.
-    The hidden moments and the characteristic functions are averages
-    over these points (``_average``).
+    ``RtbmModel._mixture`` builds the one mixture table over these points.
     """
 
     points: np.ndarray = field(repr=False)
@@ -92,16 +96,98 @@ class HiddenGaussianParams:
     log_norm: float
     p_outside: float
 
-    def _average(self, f):
+
+class _Mixture:
+    """The visible mixture sum_h P(h) N(mu(h), T^{-1}) over the points of
+    ``hidden_params``, one table per model and epsilon.
+
+    ``masses`` are P(h) = exp(log_weights - log_norm), which sum to
+    1 - p_outside, and ``means`` the component means mu(h), one row per
+    point.  The sampler draws from ``alias``, built on first use; the CDF,
+    the moments and both characteristic functions read the masses and means.
+    """
+
+    def __init__(self, points, masses, means):
+        self.points = points
+        self.masses = masses
+        self.means = means
+        self.total = np.sum(masses)
+
+    def average(self, f):
         """sum_h P(h) f(h) / sum_h P(h) over ``points``, for the rows f(h) of ``f``.
 
-        Each component is one contiguous pairwise sum, as the normalizer is,
+        Each component is one contiguous pairwise sum, as the total mass is,
         so f = 1 gives exactly 1.
         """
         f = np.asarray(f, dtype=float)
-        mass = np.exp(self.log_weights - self.log_norm)
         cols = np.ascontiguousarray(f.reshape(f.shape[0], -1).T)
-        return (np.sum(cols * mass, axis=-1) / np.sum(mass)).reshape(f.shape[1:])
+        return (np.sum(cols * self.masses, axis=-1) / self.total).reshape(f.shape[1:])
+
+    @functools.cached_property
+    def alias(self):
+        """Walker's alias table (prob, alias) over ``masses``; see ``_alias_table``."""
+        return _alias_table(self.masses)
+
+
+def _alias_table(masses):
+    """Walker's alias table (prob, alias) over ``masses``, by Vose's construction.
+
+    With K points, column j is picked with probability 1/K and gives j with
+    probability prob[j], else alias[j]; so point i is drawn with probability
+    (prob[i] + sum_{j: alias[j] = i} (1 - prob[j])) / K.  With the scaled
+    masses a_i = K m_i / sum m, each small point (a_s < 1) keeps a_s of its
+    column and gives the rest to the current large point, whose residual
+    a_l - sum (1 - a_s) is kept together with its rounding error (Fast2Sum),
+    so the many deficits a large point takes add up no rounding; a large
+    point whose residual falls below 1 becomes small.  Zero masses are paired
+    first and are no point's alias, so they are never drawn.
+
+    The a_i miss summing to K by a few ulp each, mostly by one rounding they
+    all share; the large points give up that excess in proportion to their
+    a_i, and what rounding takes from a large point that turns small goes to
+    the next one, so neither piles up on the last (the largest mass).  Every
+    point's probability is then within a few ulp of its mass, save that each
+    small point's own rounding (an ulp at most) lands on a large one, which
+    shows relative to it only where many small masses are equal.
+    """
+    k = masses.size
+    scaled = masses * k / np.sum(masses)
+    prob = scaled.tolist()
+    alias = list(range(k))
+    is_large = scaled >= 1.0
+    large = np.flatnonzero(is_large).tolist()
+    if large:
+        # the a_i miss summing to K by this much, mostly one rounding they
+        # all share; the large points give it up in proportion to their a_i
+        share = -math.fsum(prob + [-float(k)]) / math.fsum(scaled[is_large])
+        top = int(np.argmax(scaled))  # at the bottom of the stack: paired last
+        large.remove(top)
+        large.insert(0, top)
+    small = np.flatnonzero(scaled == 0.0).tolist()  # popped first
+    small[:0] = np.flatnonzero(~is_large & (scaled > 0.0)).tolist()
+    pop = small.pop
+    carry = 0.0  # what rounding took from the last large point turned small
+    while small and large:
+        l = large.pop()
+        have = prob[l]
+        low = share * have + carry  # the rounding error of have
+        while small:
+            s = pop()
+            alias[s] = l
+            need = 1.0 - prob[s]
+            rest = have - need
+            low += (have - rest) - need  # exact while have >= need
+            have = rest
+            if rest + low < 1.0:  # l turns small
+                prob[l] = rest + low
+                carry = (rest - prob[l]) + low
+                small.append(l)
+                break
+        else:
+            large.append(l)
+    for i in small + large:  # full columns, up to rounding
+        prob[i] = 1.0
+    return np.array(prob), np.array(alias, dtype=np.intp)
 
 
 def _freeze(arr):
@@ -209,9 +295,16 @@ class RtbmModel:
         """Check all invariants; returns PD margins, raises InvalidModel.
 
         The margins are the minimum Cholesky pivots of T, Q and the Schur
-        complement S = Q - W^T T^{-1} W.
+        complement S = Q - W^T T^{-1} W.  Non-finite parameters are reported
+        before anything is factored.
         """
-        violations = []
+        violations = [
+            f"{name} is not finite"
+            for name in ("t", "q", "w", "bv", "bh")
+            if not np.isfinite(getattr(self, name)).all()
+        ]
+        if violations:
+            raise InvalidModel(violations)
         margins = {}
         for name in ("t", "q"):
             try:
@@ -229,6 +322,7 @@ class RtbmModel:
                 )
         if violations:
             raise InvalidModel(violations)
+        self._cache[("valid",)] = True
         return margins
 
     def is_valid(self):
@@ -239,10 +333,8 @@ class RtbmModel:
         return True
 
     def _require_valid(self):
-        key = ("valid",)
-        if key not in self._cache:
-            self.validate()
-            self._cache[key] = True
+        if ("valid",) not in self._cache:
+            self.validate()  # caches its success
 
     # -- derived parameters --------------------------------------------------
 
@@ -309,6 +401,16 @@ class RtbmModel:
             )
         return self._cache[key]
 
+    def _mixture(self, eps=theta.DEFAULT_EPS):
+        """The visible mixture over the points of ``hidden_params``, cached per epsilon."""
+        key = ("mixture", eps)
+        if key not in self._cache:
+            hp = self.hidden_params(eps)
+            self._cache[key] = _Mixture(
+                hp.points, np.exp(hp.log_weights - hp.log_norm), self.conditional_mean(hp.points)
+            )
+        return self._cache[key]
+
     def _log_norm(self, eps, budget=lattice.POINT_BUDGET):
         """log theta_b for the densities, one cached value per (epsilon, budget).
 
@@ -368,10 +470,20 @@ class RtbmModel:
         return float(out[0]) if single else out
 
     def conditional_mean(self, h):
-        """mu(h) = -T^{-1} (W h + B_v), the mean of P(v | h)."""
+        """mu(h) = -T^{-1} (W h + B_v), the mean of P(v | h).
+
+        Each row's value does not depend on the batch it is in, so the
+        sampler's table of means and ``sample_conditional`` agree bit for bit.
+        """
         self._require_valid()
         hh, single = _as_batch(h, self.nh, "h")
-        mu = -self._form("t").solve((hh @ self.w.T + self.bv).T).T
+        if hh.shape[0] == 1:
+            # numpy multiplies a single row by another BLAS routine, whose
+            # rounding can differ from a batch's in the last bit
+            wh = (np.repeat(hh, 2, axis=0) @ self.w.T)[:1]
+        else:
+            wh = hh @ self.w.T
+        mu = -self._form("t").solve((wh + self.bv).T).T
         return mu[0] if single else mu
 
     def log_pdf_conditional(self, v, h):
@@ -388,8 +500,9 @@ class RtbmModel:
         """phi_v(r) = E[exp(i r^T v)]; exactly 1 at r = 0.
 
         The mixture sum_h P(h) exp(i r^T mu(h) - 1/2 r^T T^{-1} r) over the
-        points of ``hidden_params``; |error| <= 2 ``p_outside``, as the omitted
-        terms and the masses' renormalization error are each at most that mass.
+        points of ``hidden_params`` (the table of ``_mixture``); |error| <= 2
+        ``p_outside``, as the omitted terms and the masses' renormalization
+        error are each at most that mass.
         """
         self._require_valid()
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -397,9 +510,9 @@ class RtbmModel:
             raise ValueError(f"r must have shape ({self.nv},), got {r.shape}")
         if not np.isfinite(r).all():
             raise ValueError("r must be finite")
-        hp = self.hidden_params(eps)
-        phase = self.conditional_mean(hp.points) @ r
-        cos, sin = hp._average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
+        mix = self._mixture(eps)
+        phase = mix.means @ r
+        cos, sin = mix.average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
         return complex(cos, sin) * math.exp(-0.5 * (r @ self._form("t").solve(r)))
 
     def characteristic_hidden(self, r, eps=theta.DEFAULT_EPS):
@@ -411,23 +524,23 @@ class RtbmModel:
             raise ValueError(f"r must have shape ({self.nh},), got {r.shape}")
         if not np.isfinite(r).all():
             raise ValueError("r must be finite")
-        hp = self.hidden_params(eps)
-        phase = hp.points @ r
-        cos, sin = hp._average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
+        mix = self._mixture(eps)
+        phase = mix.points @ r
+        cos, sin = mix.average(np.stack([np.cos(phase), np.sin(phase)], axis=1))
         return complex(cos, sin)
 
     # -- hidden moments --------------------------------------------------------
 
     def hidden_mean(self, eps=theta.DEFAULT_EPS):
         """E[h], the average of h over the points of ``hidden_params``."""
-        hp = self.hidden_params(eps)
-        return hp._average(hp.points)
+        mix = self._mixture(eps)
+        return mix.average(mix.points)
 
     def hidden_covariance(self, eps=theta.DEFAULT_EPS):
         """cov(h), the average of (h - E[h]) (h - E[h])^T over the same points."""
-        hp = self.hidden_params(eps)
-        d = hp.points - self.hidden_mean(eps)
-        return hp._average(d[:, :, None] * d[:, None, :])
+        mix = self._mixture(eps)
+        d = mix.points - self.hidden_mean(eps)
+        return mix.average(d[:, :, None] * d[:, None, :])
 
     # -- affine transform -------------------------------------------------------
 
@@ -500,14 +613,10 @@ class RtbmModel:
         xs = np.asarray(x, dtype=float)
         if np.isnan(xs).any():
             raise ValueError("x must not be NaN")
-        hp = self.hidden_params(eps)
         key = ("cdf", eps)
         if key not in self._cache:
-            self._cache[key] = _VisibleCdf(
-                self.conditional_mean(hp.points)[:, 0],
-                np.exp(hp.log_weights - hp.log_norm),
-                math.sqrt(self.t[0, 0]),
-            )
+            mix = self._mixture(eps)
+            self._cache[key] = _VisibleCdf(mix.means[:, 0], mix.masses, math.sqrt(self.t[0, 0]))
         out = self._cache[key](xs.ravel())
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 

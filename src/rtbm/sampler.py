@@ -1,19 +1,25 @@
 """Exact sampling of the visible density, without Markov chains.
 
 A visible sample is drawn in two stages: a hidden state h from the discrete
-Gaussian P(h), then v from the conditional Gaussian P(v | h).  The hidden
-draw is an inverse-CDF draw over the finite point set that certifies the
-theta normalizer: the cumulative sums of the masses P(h) / max P(h) over
-the set are searched for u * total, with u uniform on [0, 1).  This is an
-exact draw from P(h) restricted to the set; the mass of P(h) outside the
-set is at most
+Gaussian P(h), then v from the conditional Gaussian P(v | h).  Both read the
+model's mixture table (``RtbmModel._mixture``), built once per model and
+epsilon over the finite point set that certifies the theta normalizer: its
+masses, its component means mu(h), and Walker's alias table over the masses
+(Walker 1977, built by Vose's method, 1991).  The hidden draw takes one
+uniform u on [0, 1) per sample: with K points, the column is j = floor(u K)
+and the coin u K - j, which keeps j when below prob[j] and else gives
+alias[j].  So a draw costs O(1) whatever K is, and ``sample_visible`` then
+gathers the drawn states' means from the table and adds the Gaussian noise.
+
+The output law differs from the exact P(h) by at most, in total variation,
+the mass of P(h) outside the set,
 
     p = eps(R) / (theta_n + eps(R)),
 
-so the output law is within total variation p of the exact P(h).  p is
-surfaced as a diagnostic and must stay below PMAX_OUTSIDE; at the default
-theta epsilon it is ~1e-12, so the ellipsoid truncation is statistically
-invisible.
+plus the alias table's rounding and the 2^-53 grid of u, which together add
+at most about K 2^-53, the same order as an inverse-CDF draw's.  p is surfaced as
+a diagnostic and must stay below PMAX_OUTSIDE; at the default theta epsilon
+it is ~1e-12, so the ellipsoid truncation is statistically invisible.
 
 Reproducibility contract: randomness comes from the Philox 4x64 counter
 generator (numpy), keyed by (seed, stream id); identical keys reproduce
@@ -22,6 +28,7 @@ use numpy's ziggurat method via Generator.standard_normal.  Parallel
 generation should assign distinct stream ids, one per task.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,16 +76,18 @@ def _as_generator(rng):
 
 @dataclass(frozen=True)
 class HiddenSamplerState:
-    """Frozen inverse-CDF table for the hidden-sector draw.
+    """The hidden-sector draw of one model and epsilon.
 
     ``accept_prob`` holds the relative masses P(h) / max P(h) of ``points``,
     the point set that certifies the normalizer; the draw is proportional to
-    them.  ``p_outside`` bounds the mass of P(h) outside the set.
+    them.  ``p_outside`` bounds the mass of P(h) outside the set.  The draw
+    itself reads the model's mixture table.
     """
 
     points: np.ndarray = field(repr=False)
     accept_prob: np.ndarray = field(repr=False)
     p_outside: float
+    _mixture: object = field(repr=False, compare=False)
 
     @classmethod
     def from_model(cls, m, eps=theta.DEFAULT_EPS):
@@ -91,20 +100,54 @@ class HiddenSamplerState:
             points=hp.points,
             accept_prob=np.exp(hp.log_weights - np.max(hp.log_weights)),
             p_outside=hp.p_outside,
+            _mixture=m._mixture(eps),
         )
+
+
+def _draw(state, gen, size):
+    """Indices into ``state.points`` of ``size`` hidden states, by the alias table.
+
+    One uniform u per state: the column j = floor(u K) is below K for every
+    u <= 1 - 2^-53, as u K falls short of K by at least K 2^-53, more than
+    half the spacing of the doubles just below K, and so rounds below K; the
+    coin u K - j is exact.  A point of zero mass has prob 0 and is no
+    column's alias, so it is never drawn.
+    """
+    prob, alias = state._mixture.alias
+    u = gen.random(size)
+    u *= prob.size
+    col = u.astype(np.intp)
+    u -= col
+    np.copyto(col, alias.take(col), where=u >= prob.take(col))
+    return col
 
 
 def sample_hidden(state, rng, size=None):
     """Draw hidden states from the ellipsoid-truncated discrete Gaussian.
 
-    Inverse CDF over ``state.points``: with u uniform on [0, 1), the first
-    point whose cumulative mass exceeds u * total.  ``side="right"`` never
-    picks a point of zero mass and, as u * total < total, stays in range.
-    The output law is within total variation ``p_outside`` of the exact P(h).
+    One uniform per state, through the alias table (see the module
+    docstring); the output law is within total variation ``p_outside`` plus
+    about K 2^-53 of the exact P(h).  The draw gathers rows of
+    ``state.points``; ``sample_visible`` passes a state whose rows are the
+    component means in their place.
     """
-    u = _as_generator(rng).random(size)
-    cdf = np.cumsum(state.accept_prob)
-    return state.points[np.searchsorted(cdf, u * cdf[-1], side="right")]
+    idx = _draw(state, _as_generator(rng), 1 if size is None else size)
+    return state.points.take(idx[0] if size is None else idx, axis=0)
+
+
+def _add_noise(m, mu, gen, n):
+    """mu + L^{-T} xi for n rows xi of standard normals, T = L L^T.
+
+    ``mu`` is one mean or n of them.  The triangular solve overwrites xi,
+    whose transpose is Fortran-ordered, and mu is added in place.
+    """
+    xi = gen.standard_normal((n, m.nv))
+    low = m._form("t").low
+    out = scipy.linalg.solve_triangular(
+        low.T, xi.T, lower=False, overwrite_b=True, check_finite=False
+    ).T
+    out += mu
+    return out
 
 
 def sample_conditional(m, h, rng, size=None):
@@ -115,11 +158,7 @@ def sample_conditional(m, h, rng, size=None):
     """
     gen = _as_generator(rng)
     mu = m.conditional_mean(np.asarray(h, dtype=float))  # validates the model
-    low = m._form("t").low
-    n = 1 if size is None else int(size)
-    xi = gen.standard_normal((n, m.nv))
-    dev = scipy.linalg.solve_triangular(low.T, xi.T, lower=False).T
-    out = mu + dev
+    out = _add_noise(m, mu, gen, 1 if size is None else int(size))
     return out[0] if size is None else out
 
 
@@ -141,15 +180,18 @@ def sample_visible(m, n, rng, eps=theta.DEFAULT_EPS):
     """Draw ``n`` independent samples from the visible density P(v).
 
     Hidden states are drawn first (all of them), then the conditional
-    Gaussians; both stages consume the same generator, so a batch is a pure
-    function of (model, n, seed, stream id).
+    Gaussians, whose means are gathered from the mixture table; both stages
+    consume the same generator, so a batch is a pure function of (model, n,
+    seed, stream id), and equals ``sample_hidden`` followed by
+    ``sample_conditional`` on one generator.  No array holds the drawn
+    states themselves, only their indices.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     state = HiddenSamplerState.from_model(m, eps)
     gen = _as_generator(rng)
-    hs = sample_hidden(state, gen, size=n)
-    samples = sample_conditional(m, hs, gen, size=n)
+    components = dataclasses.replace(state, points=state._mixture.means)
+    samples = _add_noise(m, sample_hidden(components, gen, size=n), gen, n)
     seed, stream = (rng.seed, rng.stream_id) if isinstance(rng, RngStream) else (-1, -1)
     return SampleBatch(
         samples=samples,

@@ -141,17 +141,17 @@ def model_moments_1d(m, eps=theta.DEFAULT_EPS):
     """(mean, mu2, mu3, mu4) of a one-dimensional model density.
 
     Exact Gaussian moment formulas for each mixture component, averaged
-    with the hidden masses over the points of ``hidden_params``, then
-    converted from raw to central moments.
+    with the hidden masses over the model's mixture table (the points of
+    ``hidden_params``), then converted from raw to central moments.
     """
     if m.nv != 1:
         raise UnsupportedDimension(
             f"model_moments_1d requires nv = 1, got nv = {m.nv}"
         )
-    hp = m.hidden_params(eps)
-    mus = m.conditional_mean(hp.points)[:, 0]
+    mix = m._mixture(eps)
+    mus = mix.means[:, 0]
     var = 1.0 / float(m.t[0, 0])
-    m1, m2, m3, m4 = hp._average(np.stack([
+    m1, m2, m3, m4 = mix.average(np.stack([
         mus,
         mus**2 + var,
         mus**3 + 3.0 * mus * var,

@@ -241,6 +241,8 @@ def _theta_sum(z, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (g,):
         raise ValueError(f"z must have shape ({g},), got {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     x, y = z.real, z.imag
@@ -275,6 +277,7 @@ def theta_tilde(z, omega, eps=DEFAULT_EPS):
     """theta_tilde(z | Omega) with a certified tail bound below ``eps``.
 
     Here and in the other evaluators ``omega`` may be a ``lattice.Form``.
+    A non-finite z raises ValueError.
     """
     return _theta_sum(z, omega, eps).value
 

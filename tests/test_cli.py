@@ -49,6 +49,17 @@ class TestModelFile:
         assert rc == 2
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [("bv", [float("nan")]), ("w", [[float("inf")]])])
+    def test_non_finite_parameter_rejected(self, tmp_path, test_model_1d, field, value):
+        doc = test_model_1d.to_dict()
+        doc[field] = value
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes and reads NaN and Infinity
+        rc = main(["sample", "--model", str(path), "--n", "10", "--seed", "1",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert not (tmp_path / "s.csv").exists()
+
     def test_phase_two_rejected(self, tmp_path, test_model_1d):
         doc = test_model_1d.to_dict()
         doc["phase"] = "II"

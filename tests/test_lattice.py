@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -417,6 +418,15 @@ class TestForm:
         center = rng.uniform(-1.0, 1.0, g)
         npt.assert_array_equal(lattice.enumerate_ellipsoid(form, center, 2.0),
                                lattice.enumerate_ellipsoid(omega, center, 2.0))
+
+    @pytest.mark.parametrize("shape", [(1, 141), (3, 2000), (2,), (4, 1)])
+    def test_solve_matches_cho_solve_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0])
+        form = lattice.Form(random_pd_matrix(rng, shape[0]))
+        b = rng.normal(size=shape)
+        got = form.solve(b)
+        npt.assert_array_equal(got, scipy.linalg.cho_solve((form.low, True), b))
+        assert got.shape == b.shape
 
     def test_given_factor_is_trusted_and_arrays_are_read_only(self):
         low = np.array([[2.0, 0.0], [1.0, 3.0]])

@@ -63,6 +63,23 @@ class TestValidate:
             m.validate()
         assert len(err.value.violations) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("names", [("bv",), ("bh",), ("w",), ("t", "w"), ("q", "bh")])
+    def test_non_finite_parameters_named(self, bad, names):
+        params = dict(t=[[1.0]], q=[[2.0]], w=[[0.1]], bv=[0.0], bh=[0.0])
+        for name in names:
+            params[name] = np.full(np.shape(params[name]), bad)
+        m = RtbmModel(**params)
+        with pytest.raises(InvalidModel) as err:
+            m.validate()
+        assert err.value.violations == [f"{name} is not finite" for name in names]
+        assert not m.is_valid()
+        # every method that needs a valid model says why, not scipy
+        with pytest.raises(InvalidModel, match="not finite"):
+            m.log_pdf_visible([0.0])
+        with pytest.raises(InvalidModel, match="not finite"):
+            sample_visible(m, 10, RngStream(0))
+
 
 class TestLogPdfVisible:
     def test_reduces_to_standard_normal_when_uncoupled(self):

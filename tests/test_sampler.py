@@ -1,9 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtbm import sampler
+from rtbm import model, sampler, stats
 from rtbm.errors import TruncationMassTooLarge
 from rtbm.model import RtbmModel
 from rtbm.sampler import HiddenSamplerState, RngStream
@@ -15,6 +20,60 @@ from conftest import random_valid_model
 def discrete_model():
     """Hidden law with omega_h = 2, b_h = 0: masses proportional to e^{-n^2}."""
     return RtbmModel([[1.0]], [[2.0]], [[0.0]], [0.0], [0.0])
+
+
+@st.composite
+def mass_vectors(draw):
+    """K = 1-2000 masses: all equal, or exp(-d) for depths d spread over a
+    span of nats; past 745 nats (span 760) they underflow to 0."""
+    k = draw(st.integers(1, 2000))
+    if draw(st.booleans()):
+        return np.full(k, draw(st.floats(1e-300, 1e300)))
+    span = draw(st.sampled_from([760.0, 30.0, 1.0, 1e-6]))
+    d = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, span, k)
+    return np.exp(d.min() - d)
+
+
+def alias_law(prob, alias):
+    """P(i) = (prob[i] + sum_{j: alias[j] = i} (1 - prob[j])) / K, summed exactly."""
+    terms = [[p] for p in prob.tolist()]
+    for j, i in enumerate(alias.tolist()):
+        terms[i].append(1.0 - prob[j])
+    return np.array([math.fsum(t) for t in terms]) / prob.size
+
+
+class _LastUniform:
+    """Stands in for a generator: every uniform is 1 - 2^-53, the largest below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+class TestAliasTable:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(masses=mass_vectors())
+    def test_law_is_the_normalized_masses(self, masses):
+        prob, alias = model._alias_table(masses)
+        k = masses.size
+        assert prob.shape == alias.shape == (k,)
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
+        assert np.all((alias >= 0) & (alias < k))
+        # relative, except where float64 itself has no relative precision
+        npt.assert_allclose(alias_law(prob, alias), masses / math.fsum(masses),
+                            rtol=1e-14, atol=np.finfo(float).tiny)
+        # a zero mass keeps nothing of its column and is no column's alias
+        zero = masses == 0.0
+        assert np.all(prob[zero] == 0.0)
+        assert not zero[alias].any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 141, 1024, 1999, 2000, 2**16 + 1])
+    def test_last_uniform_stays_in_range(self, k):
+        masses = np.exp(-0.01 * np.arange(k))
+        mix = model._Mixture(np.arange(k)[:, None], masses, np.zeros((k, 1)))
+        state = HiddenSamplerState(mix.points, masses, 0.0, _mixture=mix)
+        idx = sampler._draw(state, _LastUniform(), 5)
+        assert idx.shape == (5,)
+        assert np.all((idx >= 0) & (idx < k))
 
 
 class TestRngStream:
@@ -178,6 +237,49 @@ class TestSampleVisible:
         hs = sampler.sample_hidden(state, gen, size=500)
         vs = sampler.sample_conditional(test_model_1d, hs, gen, size=500)
         npt.assert_array_equal(batch.samples, vs)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    @pytest.mark.parametrize("nv, nh, seed", [(0, 0, 0), (1, 3, 1), (2, 2, 2), (3, 2, 3)])
+    def test_two_stage_composition_gathers_the_same_means(self, serve_doc, n, nv, nh, seed):
+        # the table's means are gathered, sample_conditional computes them
+        # afresh for the drawn states; they agree to the bit for any batch
+        m = (RtbmModel.from_dict(serve_doc) if nv == 0
+             else random_valid_model(np.random.default_rng(seed), nv=nv, nh=nh))
+        batch = sampler.sample_visible(m, n, RngStream(seed, 1))
+        gen = RngStream(seed, 1).generator()
+        hs = sampler.sample_hidden(HiddenSamplerState.from_model(m), gen, size=n)
+        npt.assert_array_equal(batch.samples, sampler.sample_conditional(m, hs, gen, size=n))
+
+    def test_memory_of_a_large_batch(self, serve_doc):
+        # no (n, nh) array and no copy of the drawn states, only their indices
+        m = RtbmModel.from_dict(serve_doc)
+        sampler.sample_visible(m, 64, RngStream(0))  # builds the mixture table
+        tracemalloc.start()
+        try:
+            sampler.sample_visible(m, 10**6, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
+    def test_one_mixture_table(self, serve_doc, monkeypatch):
+        # the sampler, the CDF, the moments and the characteristic function
+        # all read one table of means
+        m = RtbmModel.from_dict(serve_doc)
+        calls = []
+        mean = RtbmModel.conditional_mean
+
+        def counting(self, h):
+            calls.append(np.shape(h))
+            return mean(self, h)
+
+        monkeypatch.setattr(RtbmModel, "conditional_mean", counting)
+        sampler.sample_visible(m, 1000, RngStream(2))
+        m.cdf_visible_1d(np.linspace(-5.0, 20.0, 3000))
+        stats.model_moments_1d(m)
+        m.characteristic_visible([0.3])
+        sampler.sample_visible(m, 10, RngStream(3))
+        assert calls == [(len(m.hidden_params().points), m.nh)]
 
     def test_bit_identical_given_stream(self, test_model_1d):
         a = sampler.sample_visible(test_model_1d, 500, RngStream(42))

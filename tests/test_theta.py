@@ -231,6 +231,11 @@ class TestThetaBatch:
         a = theta.theta_tilde_batch(zs, omega)[0]
         npt.assert_allclose(a, b, rtol=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_single_argument_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            theta.theta_tilde([0.5, bad], np.eye(2))
+
     @pytest.mark.parametrize("scale, dual", [(0.5, True), (50.0, False)])  # det vs (2 pi)^2
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_argument_rejected(self, scale, dual, bad):
