@@ -37,6 +37,30 @@ component has the same width, so ``cdf_visible_1d`` evaluates a batch from
 small Taylor tables at nodes one width apart, with a remainder bounded by
 Cramer's inequality, in place of one normal CDF per point and hidden state.
 
+log P(v) is the Gaussian prefactor plus log theta_tilde(W^T v + B_h | Q)
+less log theta_b.  Where Q's Poisson-dual form applies
+(``theta._dual_terms``), Jacobi's transformation turns the numerator into a
+Gaussian in v times a cosine series whose phases are affine in v, and
+
+    log P(v) = c0 + beta^T v - 1/2 v^T A v
+               + log1p(sum_k w_k cos(f_k^T v + phi_k)),
+
+    A    = T - W Q^{-1} W^T   (the Schur complement of Q in the coupling
+                               block, so positive definite),
+    beta = W Q^{-1} B_h - B_v,
+    f_k  = 2 pi W Q^{-1} k,  phi_k = 2 pi B_h^T Q^{-1} k,
+    c0   = 1/2 log det T - nv/2 log 2 pi - 1/2 B_v^T T^{-1} B_v
+           + nh/2 log 2 pi - 1/2 log det Q + 1/2 B_h^T Q^{-1} B_h
+           - log theta_b,
+
+with k over one of each pair +-k of the dual k-set and w_k its weights.
+These terms form one density plan per model, epsilon and budget
+(``RtbmModel._density``), so a batch costs one product and one cosine per
+point and k.  The k-set, the weights and the tail are those of
+``theta._dual_batch``, so the numerator keeps its certified relative error
+r = tail / (1 - others) <= eps.  Elsewhere the numerator is one
+``theta_tilde_batch`` over W^T v + B_h.
+
 All densities are exposed in log domain; theta magnitudes can be
 astronomically large, but their logs and ratios are stable.  Only real
 cross couplings (phase I of the paper) are modelled; ``from_dict`` rejects
@@ -188,6 +212,38 @@ def _alias_table(masses):
     for i in small + large:  # full columns, up to rounding
         prob[i] = 1.0
     return np.array(prob), np.array(alias, dtype=np.intp)
+
+
+class _DualDensity:
+    """log P(v) = c0 + beta^T v - 1/2 v^T A v + log1p(sum_k w_k cos(f_k^T v + phi_k)).
+
+    The envelope form of the module docstring, over the k-set and weights of
+    ``theta._dual_terms`` for Q, with ``log_norm`` (log theta_b) in c0.
+    """
+
+    def __init__(self, m, terms, log_norm):
+        half, self.weights, _ = terms
+        q = m._form("q")
+        w_q = m.w @ q.inverse
+        q_bh = q.inverse @ m.bh
+        a = m.t - w_q @ m.w.T
+        self.neg_half_a = -0.25 * (a + a.T)
+        self.beta = w_q @ m.bh - m.bv
+        self.freq = (2.0 * math.pi) * (w_q @ half.T)
+        self.phase0 = (2.0 * math.pi) * (half @ q_bh)
+        self.c0 = (
+            m._log_gauss_norm()
+            - 0.5 * float(m.bv @ m._form("t").solve(m.bv))
+            + 0.5 * (m.nh * _LOG_2PI - q.log_det)
+            + 0.5 * float(m.bh @ q_bh)
+            - log_norm
+        )
+
+    def __call__(self, v):
+        out = theta._dual_series(v, self.freq, self.phase0, self.weights)
+        out += np.einsum("ij,ij->i", v @ self.neg_half_a + self.beta, v)
+        out += self.c0
+        return out
 
 
 def _freeze(arr):
@@ -432,6 +488,17 @@ class RtbmModel:
                 self._cache[key] = float(log_mag[0]) + math.log1p(float(rel[0]))
         return self._cache[key]
 
+    def _density(self, eps, budget=lattice.POINT_BUDGET):
+        """The envelope form of log P(v) (a ``_DualDensity``), cached per
+        (epsilon, budget); None where Q's dual form does not apply."""
+        key = ("density", eps, budget)
+        if key not in self._cache:
+            terms = theta._dual_terms(self._form("q"), eps, budget)
+            self._cache[key] = (
+                None if terms is None else _DualDensity(self, terms, self._log_norm(eps, budget))
+            )
+        return self._cache[key]
+
     def _log_gauss_norm(self):
         """1/2 (log det T - nv log 2 pi), the log normalizer of N(., T^{-1})."""
         return 0.5 * (self._form("t").log_det - self.nv * _LOG_2PI)
@@ -442,21 +509,32 @@ class RtbmModel:
         """log P(v); accepts one point (nv,) or a batch (n, nv).
 
         ``budget`` caps the enumerated theta points (PointBudgetExceeded
-        beyond it); the default is the lattice module's global cap.  The
-        numerator is one ``theta_tilde_batch`` over Q.  The normalizer
-        theta_b is the Poisson-dual value log V + log1p(r), with r the dual's
-        certified relative error; where the dual does not apply, it is the
-        ``log_norm`` of the point set that ``hidden_params`` builds.
+        beyond it); the default is the lattice module's global cap.  Where
+        Q's dual form applies, the value is the envelope form of the module
+        docstring, c0 + beta^T v - 1/2 v^T A v + log1p(sum_k w_k
+        cos(f_k^T v + phi_k)) with A = T - W Q^{-1} W^T,
+        beta = W Q^{-1} B_h - B_v, f_k = 2 pi W Q^{-1} k and
+        phi_k = 2 pi B_h^T Q^{-1} k, from the plan of ``_density``; its
+        numerator has the dual's certified relative error
+        r = tail / (1 - others) <= eps, as before.  Elsewhere the numerator is one ``theta_tilde_batch`` over
+        Q at W^T v + B_h.  The normalizer theta_b is the Poisson-dual value
+        log V + log1p(r), with r the dual's certified relative error; where
+        the dual does not apply, it is the ``log_norm`` of the point set that
+        ``hidden_params`` builds.
         """
         self._require_valid()
         v, single = _as_batch(v, self.nv, "v")
         log_norm = self._log_norm(eps, budget)
-        u = v + self._form("t").solve(self.bv)
-        quad = np.einsum("ij,jk,ik->i", u, self.t, u)
-        log_gauss = self._log_gauss_norm() - 0.5 * quad
-        zs = v @ self.w + self.bh
-        log_num, _, _ = theta.theta_tilde_batch(zs, self._form("q"), eps, budget=budget)
-        out = log_gauss + log_num - log_norm
+        density = self._density(eps, budget)
+        if density is not None:
+            out = density(v)
+        else:
+            u = v + self._form("t").solve(self.bv)
+            quad = np.einsum("ij,jk,ik->i", u, self.t, u)
+            log_gauss = self._log_gauss_norm() - 0.5 * quad
+            zs = v @ self.w + self.bh
+            log_num, _, _ = theta.theta_tilde_batch(zs, self._form("q"), eps, budget=budget)
+            out = log_gauss + log_num - log_norm
         return float(out[0]) if single else out
 
     def log_pmf_hidden(self, h, eps=theta.DEFAULT_EPS):

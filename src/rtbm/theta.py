@@ -74,6 +74,15 @@ least 1 - others; the form is used only when others <= 1/2, and the
 returned bound tail / (1 - others) <= eps is then a relative error bound,
 as for the primal sum at real z.  Otherwise the primal sum runs.  The
 point sets behind moments and sampling (``_theta_sum``) stay primal.
+
+``_dual_terms`` is the one place that builds the dual side: it applies the
+guards, solves the radius, enumerates the k-set and keeps one k of each
+pair +-k with its doubled weight, and returns the half-set, the weights and
+the relative bound, or None.  ``_dual_series`` is the one evaluator of the
+series, log1p(cos(args @ freq + phase0) @ weights), in blocks of rows that
+stay on the heap.  ``_dual_batch`` calls it with args = x,
+freq = 2 pi Omega^{-1} k and phase0 = 0; the model's density plan calls it
+with args = v, its phases being affine in v (see ``rtbm.model``).
 """
 
 import math
@@ -214,6 +223,16 @@ class ThetaSum:
     reduced_sum: complex
 
 
+def _row_dots(a, b):
+    """The dot products of the rows of a and b, each summed left to right.
+
+    einsum's kernel for contiguous rows sums in another order, so its result
+    would depend on whether the arguments arrived as a real array or as the
+    real part of a complex one.
+    """
+    return (a * b).sum(axis=1)
+
+
 class _Centers:
     """Ellipsoid centers c = Omega^{-1} x of real arguments (rows of xs).
 
@@ -225,9 +244,9 @@ class _Centers:
     def __init__(self, form, xs, eps):
         self.centers = form.solve(xs.T).T
         self.shifts = np.round(self.centers)
-        self.e_cont = 0.5 * np.einsum("ij,ij->i", xs, self.centers)
+        self.e_cont = 0.5 * _row_dots(xs, self.centers)
         e_round = -0.5 * np.einsum("ij,ij->i", self.shifts @ form.matrix, self.shifts)
-        e_round += np.einsum("ij,ij->i", self.shifts, xs)
+        e_round += _row_dots(self.shifts, xs)
         self.gaps = np.maximum(self.e_cont - e_round, 0.0)
         self.gap_ub = float(np.max(self.gaps))
         self.bound = _TailBound(xs.shape[1], form.rho)
@@ -299,14 +318,16 @@ def _offset_cover(offsets, omega):
     return min(((m, reach(m)) for m in (mid, np.zeros_like(mid))), key=lambda c: c[1])
 
 
-def _dual_batch(xs, form, eps, budget):
-    """Poisson-dual theta_tilde_batch for real arguments over ``form``, or None.
+def _dual_terms(form, eps, budget):
+    """The dual k-set of ``form``: (half, weights, rel), or None.
 
-    None means the dual form does not apply: det Omega >= (2 pi)^g, or the
-    dual sum's k != 0 mass (enumerated weights plus certified tail) exceeds
-    1/2, or the dual ellipsoid passes ``budget``.  Otherwise returns the
-    (log_magnitude, phase, tail_bound) arrays, with the tail bound a
-    relative error below ``eps`` (see the module docstring).
+    ``half`` holds one k of each pair +-k != 0 of the certified dual
+    ellipsoid (as floats, one per row), ``weights`` their terms
+    2 exp(-2 pi^2 k^T Omega^{-1} k), the pair counted twice as the cosine is
+    even in k, and ``rel`` = tail / (1 - others) the certified relative error
+    of the dual sum (see the module docstring).  None means the dual form
+    does not apply: det Omega >= (2 pi)^g, or the k != 0 mass (enumerated
+    weights plus tail) exceeds 1/2, or the dual ellipsoid passes ``budget``.
     """
     g = form.matrix.shape[0]
     if form.log_det >= g * _LOG_2PI:
@@ -322,8 +343,7 @@ def _dual_batch(xs, form, eps, budget):
     except PointBudgetExceeded:
         return None
     ks = ks[:, ::-1]  # the dual Form is in reversed coordinates
-    # One k of each pair +-k (first nonzero coordinate positive); the cosine
-    # is even in k, so the pair contributes twice the kept term.
+    # one k of each pair +-k: the first nonzero coordinate positive
     lead = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
     half = ks[lead > 0].astype(float)
     quad = np.einsum("ij,jk,ik->i", half, form.inverse, half)
@@ -331,16 +351,50 @@ def _dual_batch(xs, form, eps, budget):
     others = float(np.sum(weights)) + tail
     if others > 0.5:
         return None
+    return half, weights, tail / (1.0 - others)
 
-    ys = xs @ form.inverse
-    log_mag = 0.5 * (g * _LOG_2PI - form.log_det) + 0.5 * np.einsum("ij,ij->i", xs, ys)
-    chunk = max(1, min(_CHUNK, int(4e6 // max(half.shape[0], 1))))  # cap scratch memory
-    for start in range(0, xs.shape[0], chunk):
-        end = min(start + chunk, xs.shape[0])
-        cosines = np.cos((2.0 * math.pi * ys[start:end]) @ half.T)
-        log_mag[start:end] += np.log1p(cosines @ weights)
+
+#: Elements of one (rows x K) phase block of the dual series: 120 KB, under
+#: glibc's 128 KB mmap threshold, so the block comes from the heap and is
+#: not page-faulted afresh on every call.
+_SERIES_BLOCK = 15 << 10
+
+
+def _dual_series(args, freq, phase0, weights):
+    """log1p(cos(args @ freq + phase0) @ weights), one value per row of ``args``.
+
+    The dual series of ``_dual_terms``: ``freq`` has one column and
+    ``phase0`` one entry per kept k, and the rows run in blocks of
+    ``_SERIES_BLOCK`` phases through one reused buffer.
+    """
+    n = args.shape[0]
+    out = np.empty(n)
+    rows = max(1, _SERIES_BLOCK // max(weights.size, 1))
+    buf = np.empty((min(rows, n), weights.size))
+    for start in range(0, n, rows):
+        end = min(start + rows, n)
+        phases = np.matmul(args[start:end], freq, out=buf[: end - start])
+        phases += phase0
+        np.cos(phases, out=phases)
+        np.log1p(phases @ weights, out=out[start:end])
+    return out
+
+
+def _dual_batch(xs, form, eps, budget):
+    """Poisson-dual theta_tilde_batch for real arguments over ``form``, or None.
+
+    None where ``_dual_terms`` is None; otherwise the (log_magnitude, phase,
+    tail_bound) arrays, with the tail bound a relative error below ``eps``.
+    """
+    terms = _dual_terms(form, eps, budget)
+    if terms is None:
+        return None
+    half, weights, rel = terms
+    g = form.matrix.shape[0]
+    log_mag = 0.5 * (g * _LOG_2PI - form.log_det) + 0.5 * _row_dots(xs, xs @ form.inverse)
+    log_mag += _dual_series(xs, (2.0 * math.pi) * (form.inverse @ half.T), 0.0, weights)
     n = xs.shape[0]
-    return log_mag, np.zeros(n), np.full(n, tail / (1.0 - others))
+    return log_mag, np.zeros(n), np.full(n, rel)
 
 
 def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
@@ -360,7 +414,9 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     form = lattice.Form.of(omega)
     omega = form.matrix
     g = omega.shape[0]
-    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+    zs = np.atleast_2d(np.asarray(zs))
+    complex_args = np.iscomplexobj(zs)
+    zs = zs.astype(complex if complex_args else float, copy=False)
     if zs.shape[1] != g:
         raise ValueError(f"arguments must have {g} columns, got {zs.shape[1]}")
     if not np.isfinite(zs).all():
@@ -370,8 +426,12 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     n = zs.shape[0]
     if n == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    xs, ys = zs.real, zs.imag
-    complex_args = bool(np.any(ys))
+    xs, ys = zs, None
+    if complex_args:
+        xs, ys = zs.real, zs.imag
+        complex_args = bool(np.any(ys))
+        if not complex_args:
+            xs = np.ascontiguousarray(xs)  # a real batch in complex dtype
     if not complex_args:
         dual = _dual_batch(xs, form, eps, budget)
         if dual is not None:
@@ -405,7 +465,7 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
         x = xs[start:end]
         s_omega = s @ omega
         row = (
-            np.einsum("ij,ij->i", s, x)
+            _row_dots(s, x)
             - 0.5 * np.einsum("ij,ij->i", s_omega, s)
             - e_cont[start:end]
         )

@@ -44,6 +44,26 @@ def assert_same_lattice(original, reduced):
     npt.assert_allclose(abs(np.linalg.det(np.round(u))), 1.0, atol=1e-8)
 
 
+def exact_det(m):
+    """Determinant of a square matrix of Python integers, by cofactors."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * exact_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def exact_adjugate(m):
+    """adj(m), so that m adj(m) = det(m) I, in Python integers."""
+    g = len(m)
+    if g == 1:
+        return [[1]]
+
+    def minor(i, j):  # m without row i and column j
+        return [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+
+    return [[(-1) ** (i + j) * exact_det(minor(j, i)) for j in range(g)] for i in range(g)]
+
+
 @st.composite
 def integer_bases(draw):
     """A nonsingular integer (g, g) basis, g = 1-4, skewed by up to eight
@@ -116,9 +136,13 @@ class TestLllReduce:
         red = lattice.lll_reduce(basis)
         assert_lll_conditions(red)
         npt.assert_array_equal(red, np.round(red))
-        u = np.round(np.linalg.solve(basis.T, red.T).T)
-        npt.assert_array_equal(u @ basis, red)
-        assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-6
+        # u = red basis^{-1} = red adj(basis) / det(basis), in Python integers
+        b = [[int(x) for x in row] for row in basis.tolist()]
+        r = [[int(x) for x in row] for row in red.tolist()]
+        det, adj = exact_det(b), exact_adjugate(b)
+        num = [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in r]
+        assert all(x % det == 0 for row in num for x in row)
+        assert abs(exact_det([[x // det for x in row] for row in num])) == 1
 
 
 class TestShortestVectorEstimate:

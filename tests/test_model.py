@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtbm import lattice, model, numerics, theta, train
@@ -18,6 +18,7 @@ from rtbm.sampler import RngStream, sample_visible
 
 from conftest import (
     brute_force_cdf_visible_1d,
+    brute_force_log_pdf_visible,
     brute_force_theta,
     brute_force_theta_moments,
     random_pd_matrix,
@@ -248,6 +249,96 @@ class TestDualNormalizer:
         built.hidden_params()
         v = np.random.default_rng(3).normal(scale=2.0, size=(50, 2))
         npt.assert_array_equal(fresh.log_pdf_visible(v), built.log_pdf_visible(v))
+
+
+def numerator_log_pdf(m, v, eps=1e-12):
+    """log P(v) as the Gaussian prefactor times a theta batch over Q: the
+    numerator theta_tilde(v W + B_h | Q) from ``theta_tilde_batch``."""
+    u = v + np.linalg.solve(m.t, m.bv)
+    log_gauss = m._log_gauss_norm() - 0.5 * np.einsum("ij,jk,ik->i", u, m.t, u)
+    log_num = theta.theta_tilde_batch(v @ m.w + m.bh, m._form("q"), eps)[0]
+    return log_gauss + log_num - m._log_norm(eps, lattice.POINT_BUDGET)
+
+
+def drawn_model(seed, nv, nh, dual):
+    """``random_valid_model``, with Q scaled by 50 for the primal numerator.
+
+    Q -> 50 Q keeps the model valid (S grows by 49 Q) and puts det Q above
+    (2 pi)^nh, as det Q >= det S >= 0.5^nh.
+    """
+    m = random_valid_model(np.random.default_rng(seed), nv=nv, nh=nh)
+    if not dual:
+        m = RtbmModel(m.t, 50.0 * m.q, m.w, m.bv, m.bh)
+    return m
+
+
+def points_around_mean(m, n, seed):
+    """n points within four marginal widths of the mean of P(v | h = 0)."""
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(np.diag(np.linalg.inv(m.t)))
+    return m.conditional_mean(np.zeros(m.nh)) + rng.uniform(-4.0, 4.0, (n, m.nv)) * scale
+
+
+class TestDensityPlan:
+    """log P(v) in envelope form from the cached plan of ``RtbmModel._density``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.booleans()
+    )
+    def test_against_brute_force_and_numerator_batch(self, seed, nv, nh, dual):
+        m = drawn_model(seed, nv, nh, dual)
+        has_plan = m._density(1e-12) is not None
+        assume(has_plan == dual)  # a few unscaled Q fail the dual guard
+        v = points_around_mean(m, 6, seed)
+        got = m.log_pdf_visible(v)
+        scale = np.maximum(1.0, np.abs(got))
+        assert np.all(np.abs(got - brute_force_log_pdf_visible(m, v)) <= 1e-10 * scale)
+        assert np.all(np.abs(got - numerator_log_pdf(m, v)) <= 1e-12 * scale)
+
+    def test_serve_model_in_several_blocks(self, serve_doc):
+        m = RtbmModel.from_dict(serve_doc)
+        v = sample_visible(m, 10**4, RngStream(5)).samples
+        plan = m._density(1e-12)
+        assert v.shape[0] > 1.5 * theta._SERIES_BLOCK // plan.weights.size
+        got = m.log_pdf_visible(v)
+        scale = np.maximum(1.0, np.abs(got))
+        assert np.all(np.abs(got - numerator_log_pdf(m, v)) <= 1e-12 * scale)
+        assert np.all(np.abs(got - brute_force_log_pdf_visible(m, v)) <= 1e-10 * scale)
+
+    def test_second_call_builds_nothing(self, serve_doc, monkeypatch):
+        m = RtbmModel.from_dict(serve_doc)
+        v = np.linspace(0.0, 20.0, 50)[:, None]
+        first = m.log_pdf_visible(v)
+        calls = []
+        for owner, name in ((lattice, "enumerate_ellipsoid"), (theta._TailBound, "solve_radius")):
+            def counting(*args, _inner=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        npt.assert_array_equal(m.log_pdf_visible(v), first)
+        assert calls == []
+
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_zero_budget_raises_before_and_after_the_plan(self, dual):
+        m = drawn_model(2, 2, 2, dual)
+        assert (m._density(1e-12) is not None) == dual
+        v = points_around_mean(m, 3, 0)
+        for _ in range(2):
+            with pytest.raises(PointBudgetExceeded):
+                m.log_pdf_visible(v, budget=0)
+            m.log_pdf_visible(v)
+
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_empty_batch_and_single_point(self, dual):
+        m = drawn_model(3, 2, 3, dual)
+        assert (m._density(1e-12) is not None) == dual
+        assert m.log_pdf_visible(np.empty((0, m.nv))).shape == (0,)
+        v = points_around_mean(m, 1, 1)
+        single = m.log_pdf_visible(v[0])
+        assert isinstance(single, float)
+        assert single == m.log_pdf_visible(v)[0]
 
 
 class TestOneHiddenPointSet:

@@ -245,6 +245,18 @@ class TestThetaBatch:
         with pytest.raises(ValueError, match="finite"):
             theta.theta_tilde_batch([[0.5, 0.0], [bad, 0.0]], form, 1e-12)
 
+    @pytest.mark.parametrize("scale, dual", [(0.5, True), (50.0, False)])  # det vs (2 pi)^2
+    def test_real_arguments_agree_in_any_layout(self, scale, dual):
+        # a real batch gives the same bits as an array, a list, a Fortran
+        # array or the real part of a complex array with zero imaginary part
+        form = lattice.Form(scale * np.array([[1.0, 0.3], [0.3, 0.8]]))
+        assert (theta._dual_terms(form, 1e-12, lattice.POINT_BUDGET) is not None) == dual
+        xs = np.random.default_rng(12).uniform(-3.0, 3.0, (40, 2))
+        real = theta.theta_tilde_batch(xs, form, 1e-12)
+        for zs in (xs.tolist(), np.asfortranarray(xs), xs.astype(complex)):
+            for a, b in zip(theta.theta_tilde_batch(zs, form, 1e-12), real):
+                npt.assert_array_equal(a, b)
+
 
 @st.composite
 def ill_conditioned_forms(draw):
