@@ -149,14 +149,16 @@ def _parse_matrix(text, name):
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise _CliError(EXIT_USAGE, f"ragged rows in {name}: {text!r}")
+    if not np.isfinite(rows).all():
+        raise _CliError(EXIT_USAGE, f"{name} entries must be finite: {text!r}")
     return np.array(rows)
 
 
 def _parse_vector(text, name):
-    try:
-        return np.array([float(c) for c in text.split(",")])
-    except ValueError:
+    rows = _parse_matrix(text, name)
+    if rows.shape[0] != 1:
         raise _CliError(EXIT_USAGE, f"malformed {name}: {text!r}")
+    return rows[0]
 
 
 def _parse_grid(text):

@@ -446,7 +446,7 @@ class RtbmModel:
             sc = self.schur()
             data = theta._theta_sum(-sc.bias, sc.form, eps, budget=budget)
             tail = data.value.tail_bound
-            reduced = abs(data.reduced_sum)
+            reduced = math.exp(data.value.log_magnitude - data.max_log_weight)
             log_norm = data.max_log_weight + math.log(reduced + tail)
             p_outside = tail / (reduced + tail)
             self._cache[key] = HiddenGaussianParams(
@@ -516,11 +516,11 @@ class RtbmModel:
         beta = W Q^{-1} B_h - B_v, f_k = 2 pi W Q^{-1} k and
         phi_k = 2 pi B_h^T Q^{-1} k, from the plan of ``_density``; its
         numerator has the dual's certified relative error
-        r = tail / (1 - others) <= eps, as before.  Elsewhere the numerator is one ``theta_tilde_batch`` over
-        Q at W^T v + B_h.  The normalizer theta_b is the Poisson-dual value
-        log V + log1p(r), with r the dual's certified relative error; where
-        the dual does not apply, it is the ``log_norm`` of the point set that
-        ``hidden_params`` builds.
+        r = tail / (1 - others) <= eps.  Elsewhere the numerator is one
+        ``theta_tilde_batch`` over Q at W^T v + B_h.  The normalizer theta_b
+        is the Poisson-dual value log V + log1p(r), with r the dual's
+        certified relative error; where the dual does not apply, it is the
+        ``log_norm`` of the point set that ``hidden_params`` builds.
         """
         self._require_valid()
         v, single = _as_batch(v, self.nv, "v")
@@ -623,13 +623,13 @@ class RtbmModel:
     # -- affine transform -------------------------------------------------------
 
     def affine_transform(self, a, b):
-        """Model of w = A v + b for full-column-rank A.
+        """Model of w = A v + b for invertible square A.
 
         The precision acts through its inverse (T^{-1} -> A T^{-1} A^T) and
         the remaining parameters follow the left pseudo-inverse action; the
-        hidden-sector law is unchanged.  The result is validated and an
-        InvalidModel error surfaced if the transformed precision fails
-        positive definiteness (possible for dimension-raising A).
+        hidden-sector law is unchanged.  The result is validated.  A
+        rank-deficient A (every wide one among them) raises RankDeficient; a
+        tall A makes A T^{-1} A^T singular and raises InvalidModel.
         """
         self._require_valid()
         a = np.atleast_2d(np.asarray(a, dtype=float))

@@ -11,14 +11,14 @@ the continuous point c = Omega^{-1} Re(z), and the terms decay like a
 Gaussian in the Omega-distance from c.  The evaluator sums exactly the
 integer points inside the ellipsoid (n - c)^T Omega (n - c) <= R^2, with R
 chosen so that a rigorous bound on the omitted tail is below the requested
-epsilon.  The point set depends only on Omega and the ellipsoid center;
-``RtbmModel.hidden_params`` keeps the one behind the hidden normalizer, and
-every hidden-sector expectation is an average over it.  A batch shares
-one enumeration: shifted by each argument's rounded center, it needs to
-cover only the offsets of the batch's centers from their rounded centers,
-so it is centered on those offsets and widened by their spread, not by
-the whole half-unit cube as in the uniform approximation of Deconinck et
-al. (below).
+epsilon.  One primal kernel sums every batch, one argument being a batch
+of one row: one enumeration, shifted by each argument's rounded center,
+needs to cover only the offsets of the batch's centers from their rounded
+centers, so it is centered on those offsets and widened by their spread,
+not by the whole half-unit cube as in the uniform approximation of
+Deconinck et al. (below).  ``RtbmModel.hidden_params`` keeps one argument's
+point set, that of the hidden normalizer, and every hidden-sector
+expectation averages over it.
 
 Tail bound.  Writing Omega = L L^T, the terms beyond radius R form a
 Gaussian sum over the shifted lattice {L^T (n - c)} outside the ball of
@@ -47,6 +47,9 @@ Scaling convention.  Values are returned as (log_magnitude, phase); the
 certified ``tail_bound`` is the absolute error of the *reduced* sum, i.e.
 of theta_tilde scaled by exp(-max real exponent).  For real z the reduced
 sum is >= 1, so the bound is also a relative error bound on the value.
+``theta_tilde`` measures it from the largest summed term, as bound(R)
+exp(e_cont - max); a primal batch from the rounded center's, as bound(R)
+exp(e_cont - e_round).
 
 Dual form.  Poisson summation (Jacobi's imaginary transformation) gives,
 for real x,
@@ -72,8 +75,7 @@ and Omega^{-1} come from the same Form, so a caller that keeps the Form
 ``others`` the enumerated k != 0 weights plus that tail, the dual sum is at
 least 1 - others; the form is used only when others <= 1/2, and the
 returned bound tail / (1 - others) <= eps is then a relative error bound,
-as for the primal sum at real z.  Otherwise the primal sum runs.  The
-point sets behind moments and sampling (``_theta_sum``) stay primal.
+as for the primal sum at real z.  Otherwise the primal sum runs.
 
 ``_dual_terms`` is the one place that builds the dual side: it applies the
 guards, solves the radius, enumerates the k-set and keeps one k of each
@@ -190,6 +192,12 @@ class _TailBound:
         return radius
 
 
+def _check_eps(eps):
+    """Raise ValueError unless 0 < eps < 1: eps >= 1 certifies nothing."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+
+
 def radius_for_epsilon(omega, epsilon, rho):
     """Smallest radius whose certified tail bound is below ``epsilon``.
 
@@ -199,8 +207,7 @@ def radius_for_epsilon(omega, epsilon, rho):
     the lattice gets coarser (e.g. omega -> 4 omega).
     """
     omega = as_sym(omega, "omega")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_eps(epsilon)
     g = omega.shape[0]
     return _TailBound(g, rho).solve_radius(math.log(epsilon))
 
@@ -209,18 +216,18 @@ def radius_for_epsilon(omega, epsilon, rho):
 class ThetaSum:
     """Value of one theta evaluation together with its summation data.
 
-    ``points`` are the enumerated integer vectors and ``log_weights`` their
-    real exponents -1/2 n^T Omega n + n^T Re(z); ``reduced_sum`` adds up their
-    terms exp(exponent - max_log_weight) (times exp(i n^T Im(z)) for complex
-    z).  ``RtbmModel.hidden_params`` keeps one such point set, which the
-    sampler, the CDF and every hidden-sector expectation read.
+    ``points`` are the integer vectors the primal kernel summed (its base set
+    shifted by the rounded center), ``log_weights`` their real exponents
+    -1/2 n^T Omega n + n^T Re(z), and ``max_log_weight`` the largest, from
+    which ``value.tail_bound`` is measured: the reduced sum is
+    exp(value.log_magnitude - max_log_weight).  ``RtbmModel.hidden_params``
+    keeps one such point set for the sampler, the CDF and every expectation.
     """
 
     value: ThetaValue
     points: np.ndarray
     log_weights: np.ndarray
     max_log_weight: float
-    reduced_sum: complex
 
 
 def _row_dots(a, b):
@@ -238,7 +245,8 @@ class _Centers:
 
     ``gaps`` bound how far the best integer exponent (at least the one at the
     rounded center ``shifts``) falls below its continuous maximum ``e_cont``
-    at c; ``radius`` folds the largest gap into the certified tail bound.
+    at c; ``radius`` folds the largest gap into the certified tail bound, and
+    ``log_tail`` is the log of that bound at ``radius``.
     """
 
     def __init__(self, form, xs, eps):
@@ -249,47 +257,45 @@ class _Centers:
         e_round += _row_dots(self.shifts, xs)
         self.gaps = np.maximum(self.e_cont - e_round, 0.0)
         self.gap_ub = float(np.max(self.gaps))
-        self.bound = _TailBound(xs.shape[1], form.rho)
-        self.radius = self.bound.solve_radius(math.log(eps) - self.gap_ub)
+        bound = _TailBound(xs.shape[1], form.rho)
+        self.radius = bound.solve_radius(math.log(eps) - self.gap_ub)
+        self.log_tail = bound.log_bound(self.radius)
+
+
+def _arguments(zs, g, eps):
+    """(xs, ys), the real and imaginary parts of the argument rows ``zs``; ys
+    is None for real rows, a zero imaginary part included (its real part made
+    contiguous, to give a real array's bits).  Raises ValueError for a wrong
+    shape, a non-finite argument or eps outside (0, 1)."""
+    complex_args = np.iscomplexobj(zs)
+    zs = zs.astype(complex if complex_args else float, copy=False)
+    if zs.ndim != 2 or zs.shape[1] != g:
+        raise ValueError(f"arguments must be rows of {g} entries, got shape {zs.shape}")
+    if not np.isfinite(zs).all():
+        raise ValueError("arguments must be finite")
+    _check_eps(eps)
+    if complex_args and np.any(zs.imag):
+        return zs.real, zs.imag
+    return (np.ascontiguousarray(zs.real) if complex_args else zs), None
 
 
 def _theta_sum(z, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
-    """Evaluate theta_tilde and keep the enumerated point data."""
+    """theta_tilde at one argument, the primal kernel's batch of one row, with
+    its point data; the tail bound is measured from the largest term."""
     form = lattice.Form.of(omega)
-    g = form.matrix.shape[0]
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (g,):
-        raise ValueError(f"z must have shape ({g},), got {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("z must be finite")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-    x, y = z.real, z.imag
-
-    cs = _Centers(form, x[None, :], eps)
-    pts = lattice.enumerate_ellipsoid(form, cs.centers[0], cs.radius, budget=budget)
-    log_w = -0.5 * np.einsum("ij,jk,ik->i", pts, form.matrix, pts) + pts @ x
+    xs, ys = _arguments(np.atleast_1d(np.asarray(z))[None, :], form.matrix.shape[0], eps)
+    cs, base, (log_mag, phase, _) = _primal_batch(form, xs, ys, eps, budget)
+    pts = base + cs.shifts[0].astype(base.dtype)
+    log_w = -0.5 * np.einsum("ij,jk,ik->i", pts, form.matrix, pts) + pts @ xs[0]
     m = float(np.max(log_w))
-    terms = np.exp(log_w - m)
-    if np.any(y):
-        terms = terms * np.exp(1j * (pts @ y))
-    reduced = complex(np.sum(terms))
-    tail = math.exp(cs.bound.log_bound(cs.radius) + (cs.e_cont[0] - m))
-    mag = abs(reduced)
     value = ThetaValue(
-        log_magnitude=m + (math.log(mag) if mag > 0.0 else -math.inf),
-        phase=float(np.angle(reduced)),
-        tail_bound=tail,
+        log_magnitude=float(log_mag[0]),
+        phase=float(phase[0]),
+        tail_bound=math.exp(cs.log_tail + (cs.e_cont[0] - m)),
         radius=float(cs.radius),
         point_count=pts.shape[0],
     )
-    return ThetaSum(
-        value=value,
-        points=pts,
-        log_weights=log_w,
-        max_log_weight=m,
-        reduced_sum=reduced,
-    )
+    return ThetaSum(value=value, points=pts, log_weights=log_w, max_log_weight=m)
 
 
 def theta_tilde(z, omega, eps=DEFAULT_EPS):
@@ -308,6 +314,8 @@ def _offset_cover(offsets, omega):
     needs the smaller radius.  Offsets lie in the half-unit cube, so the
     radius is at most that of the cube's corners, and at most max_i |o_i|.
     """
+    if offsets.shape[0] == 1:
+        return offsets[0], 0.0
     rows = np.ascontiguousarray(offsets.T)  # (g, n): numpy reduces along rows fast
     mid = 0.5 * (np.min(rows, axis=1) + np.max(rows, axis=1))
 
@@ -397,6 +405,63 @@ def _dual_batch(xs, form, eps, budget):
     return log_mag, np.zeros(n), np.full(n, rel)
 
 
+def _primal_batch(form, xs, ys, eps, budget):
+    """The primal sum over one base set: (centers, base set, values).
+
+    ``xs`` and ``ys`` are the real and imaginary parts of the arguments (ys
+    None for real ones); ``centers`` is their ``_Centers``, and ``values``
+    the (log_magnitude, phase, tail_bound) arrays of ``theta_tilde_batch``.
+    """
+    omega = form.matrix
+    cs = _Centers(form, xs, eps)
+    mid, spread = _offset_cover(cs.centers - cs.shifts, omega)
+    base = lattice.enumerate_ellipsoid(form, mid, cs.radius + spread, budget=budget)
+    if base.shape[0] == 0:
+        raise PointBudgetExceeded("empty base point set")
+    base_f = base.astype(float)
+    base_q = 0.5 * np.einsum("ij,jk,ik->i", base_f, omega, base_f)
+
+    # exponent(i, k) = -1/2 (s_i + b_k)^T Omega (s_i + b_k) + (s_i + b_k)^T x_i
+    #               = e_round_i + b_k^T (x_i - Omega s_i) - 1/2 b_k^T Omega b_k,
+    # with e_round_i = s_i^T x_i - 1/2 s_i^T Omega s_i the exponent at the
+    # rounded center, the log-sum-exp reference.  The rounded center lies
+    # sqrt(2 gap_i) from c_i, and log_bound(R) >= -R^2/2 puts that inside R
+    # as eps < 1, so b = 0 is summed and no exponent exceeds e_cont_i: the
+    # reduced sum lies in [1, point count * exp(gap_i)], inside double range
+    # unless a gap passes 600.
+    n = xs.shape[0]
+    chunk = max(1, min(_CHUNK, int(4e6 // base.shape[0])))  # cap the (chunk, points) buffer
+    log_mag = np.empty(n)
+    phase = np.empty(n)
+    for start in range(0, n, chunk):
+        end = min(start + chunk, n)
+        s = cs.shifts[start:end]
+        x = xs[start:end]
+        s_omega = s @ omega
+        ref = _row_dots(s, x) - 0.5 * np.einsum("ij,ij->i", s_omega, s)
+        expo = (x - s_omega) @ base_f.T
+        expo -= base_q[None, :]
+        if cs.gap_ub > 600.0:
+            # Reduced terms could overflow; fall back to an exact max pass.
+            shift_m = np.max(expo, axis=1)
+            expo -= shift_m[:, None]
+            ref += shift_m
+        np.exp(expo, out=expo)
+        if ys is not None:
+            y = ys[start:end]
+            ph = np.einsum("ij,ij->i", s, y)[:, None] + y @ base_f.T
+            total = np.einsum("ik,ik->i", expo, np.exp(1j * ph))
+        else:
+            total = np.sum(expo, axis=1).astype(complex)
+        mag = np.abs(total)
+        with np.errstate(divide="ignore"):
+            log_mag[start:end] = ref + np.log(mag)
+        phase[start:end] = np.angle(total)
+    # certified: actual max exponent >= e_round, so tail/reduced-scale error
+    # is at most exp(log_tail + gap).
+    return cs, base, (log_mag, phase, np.exp(cs.log_tail + cs.gaps))
+
+
 def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     """theta_tilde for a batch of arguments sharing one Omega.
 
@@ -412,84 +477,11 @@ def theta_tilde_batch(zs, omega, eps=DEFAULT_EPS, budget=lattice.POINT_BUDGET):
     argument raises ValueError on either path.
     """
     form = lattice.Form.of(omega)
-    omega = form.matrix
-    g = omega.shape[0]
-    zs = np.atleast_2d(np.asarray(zs))
-    complex_args = np.iscomplexobj(zs)
-    zs = zs.astype(complex if complex_args else float, copy=False)
-    if zs.shape[1] != g:
-        raise ValueError(f"arguments must have {g} columns, got {zs.shape[1]}")
-    if not np.isfinite(zs).all():
-        raise ValueError("arguments must be finite")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-    n = zs.shape[0]
-    if n == 0:
+    xs, ys = _arguments(np.atleast_2d(np.asarray(zs)), form.matrix.shape[0], eps)
+    if xs.shape[0] == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    xs, ys = zs, None
-    if complex_args:
-        xs, ys = zs.real, zs.imag
-        complex_args = bool(np.any(ys))
-        if not complex_args:
-            xs = np.ascontiguousarray(xs)  # a real batch in complex dtype
-    if not complex_args:
+    if ys is None:
         dual = _dual_batch(xs, form, eps, budget)
         if dual is not None:
             return dual
-
-    cs = _Centers(form, xs, eps)
-    shifts, e_cont, gaps = cs.shifts, cs.e_cont, cs.gaps
-    mid, spread = _offset_cover(cs.centers - shifts, omega)
-    base = lattice.enumerate_ellipsoid(form, mid, cs.radius + spread, budget=budget)
-    if base.shape[0] == 0:
-        raise PointBudgetExceeded("empty base point set")
-    base_f = base.astype(float)
-    base_q = 0.5 * np.einsum("ij,jk,ik->i", base_f, omega, base_f)
-    log_tail = cs.bound.log_bound(cs.radius)
-
-    # exponent(i, k) = -1/2 (s_i + b_k)^T Omega (s_i + b_k) + (s_i + b_k)^T x_i
-    #               = b_k^T (x_i - Omega s_i) + [s_i^T x_i - 1/2 s_i^T Omega s_i]
-    #                 - 1/2 b_k^T Omega b_k.
-    # The continuous maximum e_cont_i bounds every exponent from above, so it
-    # serves as the log-sum-exp reference without a max pass.  The best
-    # lattice point lies within sqrt(2 gap_i) of c_i, and log_bound(R) >=
-    # -R^2/2 puts that inside R as eps < 1, so it is summed: the reduced sum
-    # lies in [exp(-gap_i), point count], safely inside double range.
-    chunk = max(1, min(_CHUNK, int(4e6 // max(base.shape[0], 1))))  # cap scratch memory
-    log_mag = np.empty(n)
-    phase = np.empty(n)
-    tail = np.empty(n)
-    for start in range(0, n, chunk):
-        end = min(start + chunk, n)
-        s = shifts[start:end]
-        x = xs[start:end]
-        s_omega = s @ omega
-        row = (
-            _row_dots(s, x)
-            - 0.5 * np.einsum("ij,ij->i", s_omega, s)
-            - e_cont[start:end]
-        )
-        expo = (x - s_omega) @ base_f.T
-        expo += row[:, None]
-        expo -= base_q[None, :]
-        ref = e_cont[start:end].copy()
-        if cs.gap_ub > 600.0:
-            # Reduced terms would underflow; fall back to an exact max pass.
-            shift_m = np.max(expo, axis=1)
-            expo -= shift_m[:, None]
-            ref += shift_m
-        np.exp(expo, out=expo)
-        if complex_args:
-            y = ys[start:end]
-            ph = np.einsum("ij,ij->i", s, y)[:, None] + y @ base_f.T
-            total = np.einsum("ik,ik->i", expo, np.exp(1j * ph))
-        else:
-            total = np.sum(expo, axis=1).astype(complex)
-        mag = np.abs(total)
-        with np.errstate(divide="ignore"):
-            log_mag[start:end] = ref + np.log(mag)
-        phase[start:end] = np.angle(total)
-        # certified: actual max exponent >= e_round, so tail/reduced-scale
-        # error is at most exp(log_tail + gap).
-        tail[start:end] = np.exp(log_tail + gaps[start:end])
-    return log_mag, phase, tail
+    return _primal_batch(form, xs, ys, eps, budget)[2]

@@ -227,6 +227,19 @@ class TestTransformCommand:
                    "--shift", "0,0", "--out", str(tmp_path / "t.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [("--matrix", "nan,0;0,1"), ("--matrix", "1,0;0,inf"),
+                                             ("--shift", "nan,0"), ("--shift", "0,-inf")])
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, flag, value):
+        m = random_valid_model(np.random.default_rng(2), nv=2, nh=1)
+        mp, out = tmp_path / "m.json", tmp_path / "t.json"
+        store_model(m, str(mp))
+        args = {"--matrix": "1,0;0,1", "--shift": "0,0", flag: value}
+        rc = main(["transform", "--model", str(mp), "--out", str(out),
+                   "--matrix", args["--matrix"], "--shift", args["--shift"]])
+        assert rc == 2
+        assert f"{flag} entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_report_written(self, tmp_path, model_path, data_path):
@@ -281,6 +294,13 @@ class TestThetaCommand:
 
     def test_non_pd_omega_exit_2(self):
         assert main(["theta", "--z", "0", "--omega", "-1"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--z", "nan"), ("--z", "0,inf"),
+                                             ("--omega", "nan"), ("--omega", "inf")])
+    def test_non_finite_input_exit_2(self, capsys, flag, value):
+        args = {"--z": "0", "--omega": "2", flag: value}
+        assert main(["theta", "--z", args["--z"], "--omega", args["--omega"]]) == 2
+        assert f"{flag} entries must be finite" in capsys.readouterr().err
 
     def test_eps_sweep_point_counts_non_decreasing(self, capsys):
         counts = []

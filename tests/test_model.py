@@ -356,6 +356,22 @@ class TestOneHiddenPointSet:
         m.characteristic_hidden(np.ones(m.nh)), m.characteristic_visible(np.ones(m.nv))
         assert calls == []
 
+    @pytest.mark.parametrize("s", [c for c, _ in SCHUR_CASES])
+    def test_cold_point_set_is_one_primal_enumeration(self, monkeypatch, s):
+        # on either side of det S = (2 pi)^g, the point set is one
+        # enumeration and runs neither the dual terms nor a theta batch
+        m = model_with_schur(s, seed=s.shape[0])
+        calls = []
+        for module, name in ((lattice, "enumerate_ellipsoid"), (theta, "_dual_terms"),
+                             (theta, "theta_tilde_batch")):
+            def counting(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        m.hidden_params()
+        assert calls == ["enumerate_ellipsoid"]
+
 
 class TestLogPmfHidden:
     def test_scalar_values_against_brute_force(self):

@@ -6,13 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rtbm import lattice, theta
 from rtbm.errors import NotPositiveDefinite
+from rtbm.model import RtbmModel
 
-from conftest import brute_force_theta, random_pd_matrix
+from conftest import brute_force_ellipsoid, brute_force_theta, random_pd_matrix
 
 
 def log_theta(z, omega, eps=1e-13):
@@ -88,7 +89,7 @@ class TestThetaTilde:
         assert value.log_magnitude > 690.0
         npt.assert_allclose(value.log_magnitude, log_mag, rtol=1e-12)
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0, 2.0, np.inf, np.nan])
     @pytest.mark.parametrize("scale", [0.5, 50.0])  # det below and above (2 pi)^2
     def test_epsilon_outside_unit_interval_rejected(self, eps, scale):
         # eps >= 1 certifies nothing, and the primal batch's base set need not
@@ -98,6 +99,8 @@ class TestThetaTilde:
             theta.theta_tilde([0.1, 0.2], omega, eps)
         with pytest.raises(ValueError, match="epsilon"):
             theta.theta_tilde_batch([[0.1, 0.2], [0.2, 0.4]], omega, eps)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            theta.radius_for_epsilon(omega, eps, lattice.Form(omega).rho)
 
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefinite):
@@ -457,3 +460,78 @@ class TestThetaBatchPrimal:
             assert r + reach <= (r + cube) * (1.0 + 1e-12), name
             if "inner" in name:
                 assert radius < r + cube, name
+
+
+#: Det 16 < (2 pi)^2 with eigenvalues 0.4 and 40 along the diagonals: at the
+#: center (0.45, -0.45) the largest term is at (0, -1), 7.9 above the
+#: rounded center's (0, 0).
+SKEWED = np.array([[20.2, -19.8], [-19.8, 20.2]])
+SKEWED_CENTER = np.array([0.45, -0.45])
+
+
+def model_with_hidden(s, center, rng):
+    """Valid nv=1 model whose hidden sector has Schur complement ``s`` and
+    ellipsoid center S^-1(-b_h) = ``center``."""
+    t = random_pd_matrix(rng, 1)
+    w = rng.normal(scale=0.7, size=(1, s.shape[0]))
+    bv = rng.normal(scale=0.5, size=1)
+    t_inv_w = np.linalg.solve(t, w)
+    q = s + w.T @ t_inv_w
+    return RtbmModel(t, 0.5 * (q + q.T), w, bv, t_inv_w.T @ bv - s @ center)
+
+
+def assert_hidden_points_are_the_ellipsoid(m, eps):
+    """hidden_params' points are the box-scanned ellipsoid of S about
+    S^-1(-b_h), at the radius that ``_theta_sum`` reports."""
+    sc = m.schur()
+    radius = theta._theta_sum(-sc.bias, sc.form, eps).value.radius
+    center = np.linalg.solve(sc.form.matrix, -sc.bias)
+    want = {tuple(p) for p in brute_force_ellipsoid(sc.form.matrix, center, radius)}
+    assert {tuple(p) for p in m.hidden_params(eps).points} == want
+
+
+class TestPrimalKernel:
+    """``_theta_sum``, the one-row case of the primal batch kernel."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ill_conditioned_forms(), st.sampled_from([1e-4, 1e-12]))
+    @example((2, SKEWED, np.random.default_rng(0)), 1e-12)
+    def test_hidden_points_are_the_brute_force_ellipsoid(self, case, eps):
+        g, s, rng = case
+        assert_hidden_points_are_the_ellipsoid(
+            model_with_hidden(s, rng.uniform(-2.0, 2.0, g), rng), eps)
+
+    def test_tail_referenced_to_the_largest_term(self):
+        # the skewed form's rounded center is not its largest term, and the
+        # tail bound is measured from the largest, 7.9 nats tighter than the
+        # rounded center's reference
+        m = model_with_hidden(SKEWED, SKEWED_CENTER, np.random.default_rng(1))
+        assert_hidden_points_are_the_ellipsoid(m, 1e-12)
+        sc = m.schur()
+        data = theta._theta_sum(-sc.bias, sc.form, 1e-12)
+        best = data.points[np.argmax(data.log_weights)]
+        npt.assert_array_equal(best, [0, -1])
+        cs = theta._Centers(sc.form, -sc.bias[None, :], 1e-12)
+        npt.assert_array_equal(cs.shifts[0], [0.0, 0.0])
+        assert data.value.tail_bound == math.exp(cs.log_tail + cs.e_cont[0] - data.max_log_weight)
+        assert data.value.tail_bound < 1e-3 * math.exp(cs.log_tail + cs.gaps[0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ill_conditioned_forms(), st.sampled_from([1e-4, 1e-8, 1e-12]), st.booleans())
+    @example((2, SKEWED, np.random.default_rng(2)), 1e-4, False)
+    def test_error_within_tail_bound(self, case, eps, complex_z):
+        # |brute force - value| over the largest term <= tail_bound <= eps,
+        # up to the rounding of exponents whose terms, on stiff forms with
+        # centers c = Omega^-1 x spread over [-2, 2]^g, grow with the
+        # continuous maximum e_cont = 1/2 x^T Omega^-1 x.
+        g, omega, rng = case
+        x = omega @ rng.uniform(-2.0, 2.0, g)
+        z = x + 1j * rng.uniform(-3.0, 3.0, g) if complex_z else x
+        data = theta._theta_sum(z, omega, eps)
+        value, top = data.value, data.max_log_weight
+        log_mag, phase = brute_force_theta(z, omega, half=_box_half(z, omega))
+        err = abs(np.exp(complex(value.log_magnitude - top, value.phase))
+                  - np.exp(complex(log_mag - top, phase)))
+        rounding = 2.0**-44 * (1.0 + 0.5 * x @ np.linalg.solve(omega, x))
+        assert err <= value.tail_bound + rounding
+        assert value.tail_bound <= eps
