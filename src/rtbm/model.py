@@ -23,10 +23,14 @@ T, Q and S each have one cached ``lattice.Form`` per model, which derives
 the matrix's factor, log det, inverse, shortest vector and dual form once;
 S's is part of the one Schur pass, ``RtbmModel.schur``, which also forms
 b_h.  The densities need only the value of theta_b, not its points: it
-comes from the Poisson-dual form of ``theta._dual_batch`` (certified
-relative error r, entered as log V + log1p(r) so that log_norm stays an
-upper bound on log theta_b), else from ``hidden_params``.  That primal
-point set is the one enumeration of the hidden sector.  The hidden pmf
+comes from the Poisson-dual series over S (certified relative error r,
+entered as log V + log1p(r) so that log_norm stays an upper bound on
+log theta_b).  Where Q's dual form applies, that series runs over Q's dual
+k-set, the numerator's, re-weighed by S (``theta._reweigh``: S <= Q, so
+Q's k-set and tail certify S's sum too), and S's own k-set is never built;
+elsewhere over S's own (``theta._dual_terms``).  Where neither dual form
+applies, the value comes from ``hidden_params``.  That primal point set is
+the one enumeration of the hidden sector.  The hidden pmf
 reads it, and ``RtbmModel._mixture`` builds on it the one mixture table
 per epsilon: the normalized masses P(h), the component means mu(h) and,
 for the sampler, Walker's alias table over the masses.  The sampler, the
@@ -57,7 +61,8 @@ with k over one of each pair +-k of the dual k-set and w_k its weights.
 These terms form one density plan per model, epsilon and budget
 (``RtbmModel._density``), so a batch costs one product and one cosine per
 point and k.  The k-set, the weights and the tail are those of
-``theta._dual_batch``, so the numerator keeps its certified relative error
+``theta._dual_terms`` for Q (built once per epsilon and budget and shared
+with theta_b), so the numerator keeps its certified relative error
 r = tail / (1 - others) <= eps.  Elsewhere the numerator is one
 ``theta_tilde_batch`` over W^T v + B_h.
 
@@ -75,6 +80,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.special
 
 from . import lattice, numerics, theta
@@ -222,7 +228,7 @@ class _DualDensity:
     """
 
     def __init__(self, m, terms, log_norm):
-        half, self.weights, _ = terms
+        half, self.weights, _, _ = terms
         q = m._form("q")
         w_q = m.w @ q.inverse
         q_bh = q.inverse @ m.bh
@@ -364,14 +370,14 @@ class RtbmModel:
         margins = {}
         for name in ("t", "q"):
             try:
-                margins[name] = float(np.min(np.diag(self._form(name).low)))
+                margins[name] = float(self._form(name).low.diagonal().min())
             except NotSymmetric:
                 violations.append(f"{name} is not symmetric")
             except NotPositiveDefinite:
                 violations.append(f"{name} is not positive definite")
         if "t" in margins:
             try:
-                margins["s"] = float(np.min(np.diag(self.schur().form.low)))
+                margins["s"] = float(self.schur().form.low.diagonal().min())
             except (NotPositiveDefinite, NotSymmetric):
                 violations.append(
                     "schur complement q - w^T t^{-1} w is not positive definite"
@@ -425,9 +431,14 @@ class RtbmModel:
         """Model with T = t_low t_low^T and Schur complement S = s_low s_low^T.
 
         ``t_low`` and ``s_low`` must be lower triangular with a positive
-        diagonal.  Q is S + W^T T^{-1} W, so the model is valid by
-        construction.  The two factors seed the Forms of T and S (the latter
-        in the Schur pass), so neither T nor S is factored or formed again.
+        diagonal.  Q is S + W^T T^{-1} W, symmetrized.  Three Forms are
+        seeded: T's and S's (the latter in the Schur pass) from the given
+        factors, so neither T nor S is factored or formed again, and Q's
+        from one LAPACK dpotrf of that Q, which is symmetric as formed and
+        needs no symmetry scan.  Where dpotrf fails, Q's Form is left
+        unseeded.  Either way ``validate`` stays the one validity gate: it
+        rejects a non-finite parameter before reading any Form, and an
+        unseeded Q is factored there and rejected as for any other model.
         """
         t_form = lattice.Form(t_low @ t_low.T, low=t_low)
         t_inv_w = t_form.solve(w)
@@ -435,6 +446,9 @@ class RtbmModel:
         q = s + w.T @ t_inv_w
         m = cls(t_form.matrix, 0.5 * (q + q.T), w, bv, bh)
         m._cache[("form", "t")] = t_form
+        q_low, info = scipy.linalg.lapack.dpotrf(m.q, lower=1, clean=1)
+        if info == 0:
+            m._cache[("form", "q")] = lattice.Form(m.q, low=q_low)
         m._set_schur(t_inv_w, lattice.Form(0.5 * (s + s.T), low=s_low))
         return m
 
@@ -467,33 +481,49 @@ class RtbmModel:
             )
         return self._cache[key]
 
+    def _q_terms(self, eps, budget):
+        """Q's dual k-set (``theta._dual_terms`` of Q's Form), cached per
+        (epsilon, budget); None where Q's dual form does not apply."""
+        key = ("q terms", eps, budget)
+        if key not in self._cache:
+            self._cache[key] = theta._dual_terms(self._form("q"), eps, budget)
+        return self._cache[key]
+
     def _log_norm(self, eps, budget=lattice.POINT_BUDGET):
         """log theta_b for the densities, one cached value per (epsilon, budget).
 
         The dual form at -b_h over S, log V + log1p(r): the dual sum V is
         within relative error r of theta_b (its k != 0 mass is at most 1/2),
         so V (1 + r) bounds theta_b from above, as the primal
-        log(reduced + tail) does.  Where the dual does not apply, the point
-        set's ``log_norm``.  The choice depends only on the model, not on
-        whether ``hidden_params`` has run, so log P(v) does not either.
+        log(reduced + tail) does.  Where Q's dual applies, V sums Q's k-set
+        (``_q_terms``, which the density plan reads too) re-weighed by S
+        (``theta._reweigh``, whose docstring gives the certificate), so S's
+        own k-set is never built.  Otherwise S's own (``theta._dual_terms``),
+        and where that does not apply either, the point set's ``log_norm``.
+        The choice depends only on the model, not on whether
+        ``hidden_params`` has run, so log P(v) does not either.
         """
         key = ("log_norm", eps, budget)
         if key not in self._cache:
             sc = self.schur()
-            dual = theta._dual_batch(-sc.bias[None, :], sc.form, eps, budget)
-            if dual is None:
+            q_terms = self._q_terms(eps, budget)
+            terms = None if q_terms is None else theta._reweigh(q_terms[0], q_terms[2], sc.form)
+            if terms is None:
+                terms = theta._dual_terms(sc.form, eps, budget)
+            if terms is None:
                 self._cache[key] = self.hidden_params(eps, budget).log_norm
             else:
-                log_mag, _, rel = dual
+                log_mag, _, rel = theta._dual_values(-sc.bias[None, :], sc.form, terms)
                 self._cache[key] = float(log_mag[0]) + math.log1p(float(rel[0]))
         return self._cache[key]
 
     def _density(self, eps, budget=lattice.POINT_BUDGET):
-        """The envelope form of log P(v) (a ``_DualDensity``), cached per
-        (epsilon, budget); None where Q's dual form does not apply."""
+        """The envelope form of log P(v) (a ``_DualDensity``) over Q's k-set
+        ``_q_terms``, cached per (epsilon, budget); None where Q's dual form
+        does not apply."""
         key = ("density", eps, budget)
         if key not in self._cache:
-            terms = theta._dual_terms(self._form("q"), eps, budget)
+            terms = self._q_terms(eps, budget)
             self._cache[key] = (
                 None if terms is None else _DualDensity(self, terms, self._log_norm(eps, budget))
             )
@@ -519,7 +549,8 @@ class RtbmModel:
         r = tail / (1 - others) <= eps.  Elsewhere the numerator is one
         ``theta_tilde_batch`` over Q at W^T v + B_h.  The normalizer theta_b
         is the Poisson-dual value log V + log1p(r), with r the dual's
-        certified relative error; where the dual does not apply, it is the
+        certified relative error, over the numerator's k-set where Q's dual
+        applies (see ``_log_norm``); where no dual applies, it is the
         ``log_norm`` of the point set that ``hidden_params`` builds.
         """
         self._require_valid()

@@ -9,6 +9,7 @@ factorization, which is the gate every downstream model check relies on.
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import NotPositiveDefinite, NotSymmetric, RankDeficient
 
@@ -36,12 +37,22 @@ def as_sym(m, name="matrix"):
 
 
 def cholesky(m, name="matrix"):
-    """Lower-triangular L with m = L L^T; raises NotPositiveDefinite."""
+    """Lower-triangular L with m = L L^T, by one LAPACK dpotrf call.
+
+    Raises ValueError for a non-finite entry (checked first, as
+    ``scipy.linalg.cholesky``'s ``check_finite`` did), NotSymmetric as
+    ``as_sym`` does and NotPositiveDefinite when the factorization fails.
+    """
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
     m = as_sym(m, name)
-    try:
-        return scipy.linalg.cholesky(m, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
+    low, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(f"{name} is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf argument {-info} is invalid")
+    return low
 
 
 def left_pseudo_inverse(a):

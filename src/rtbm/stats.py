@@ -129,11 +129,12 @@ def central_moments(samples):
         raise ValueError("need at least one sample")
     mean = float(np.mean(x))
     d = x - mean
+    d2 = d * d  # products: d**3 and d**4 would go through the generic pow
     return (
         mean,
-        float(np.mean(d**2)),
-        float(np.mean(d**3)),
-        float(np.mean(d**4)),
+        float(np.mean(d2)),
+        float(np.mean(d2 * d)),
+        float(np.mean(d2 * d2)),
     )
 
 

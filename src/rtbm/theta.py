@@ -77,12 +77,16 @@ least 1 - others; the form is used only when others <= 1/2, and the
 returned bound tail / (1 - others) <= eps is then a relative error bound,
 as for the primal sum at real z.  Otherwise the primal sum runs.
 
-``_dual_terms`` is the one place that builds the dual side: it applies the
+``_dual_terms`` is the one place that builds a dual k-set: it applies the
 guards, solves the radius, enumerates the k-set and keeps one k of each
-pair +-k with its doubled weight, and returns the half-set, the weights and
-the relative bound, or None.  ``_dual_series`` is the one evaluator of the
-series, log1p(cos(args @ freq + phase0) @ weights), in blocks of rows that
-stay on the heap.  ``_dual_batch`` calls it with args = x,
+pair +-k with its doubled weight, and returns the half-set, the weights,
+the tail and the relative bound, or None.  ``_reweigh`` weighs it, and is
+its only other consumer: it re-weighs a k-set built for Q for a form
+S <= Q, whose sum Q's k-set and tail also certify (see ``_reweigh``), so the
+model's hidden normalizer over S reads the k-set of its numerator over Q.
+``_dual_series`` is the one evaluator of the series,
+log1p(cos(args @ freq + phase0) @ weights), in blocks of rows that stay on
+the heap.  ``_dual_values`` calls it with args = x,
 freq = 2 pi Omega^{-1} k and phase0 = 0; the model's density plan calls it
 with args = v, its phases being affine in v (see ``rtbm.model``).
 """
@@ -327,15 +331,16 @@ def _offset_cover(offsets, omega):
 
 
 def _dual_terms(form, eps, budget):
-    """The dual k-set of ``form``: (half, weights, rel), or None.
+    """The dual k-set of ``form``: (half, weights, tail, rel), or None.
 
     ``half`` holds one k of each pair +-k != 0 of the certified dual
     ellipsoid (as floats, one per row), ``weights`` their terms
     2 exp(-2 pi^2 k^T Omega^{-1} k), the pair counted twice as the cosine is
-    even in k, and ``rel`` = tail / (1 - others) the certified relative error
-    of the dual sum (see the module docstring).  None means the dual form
-    does not apply: det Omega >= (2 pi)^g, or the k != 0 mass (enumerated
-    weights plus tail) exceeds 1/2, or the dual ellipsoid passes ``budget``.
+    even in k, ``tail`` the certified bound on the omitted terms, and
+    ``rel`` = tail / (1 - others) the certified relative error of the dual
+    sum (see the module docstring).  None means the dual form does not
+    apply: det Omega >= (2 pi)^g, or the k != 0 mass (enumerated weights
+    plus tail) exceeds 1/2, or the dual ellipsoid passes ``budget``.
     """
     g = form.matrix.shape[0]
     if form.log_det >= g * _LOG_2PI:
@@ -353,13 +358,49 @@ def _dual_terms(form, eps, budget):
     ks = ks[:, ::-1]  # the dual Form is in reversed coordinates
     # one k of each pair +-k: the first nonzero coordinate positive
     lead = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
-    half = ks[lead > 0].astype(float)
+    return _reweigh(ks[lead > 0].astype(float), tail, form)
+
+
+def _reweigh(half, tail, form):
+    """The dual terms of ``form`` over a half k-set certified with ``tail``.
+
+    Returns (half, weights, tail, rel) as ``_dual_terms`` does, with the
+    weights 2 exp(-2 pi^2 k^T Omega^{-1} k) of ``form`` and
+    rel = tail / (1 - others), or None when others > 1/2.  ``_dual_terms``
+    weighs its own k-set here.  A k-set built for Q also serves any form
+    S <= Q, as the model's Schur complement S = Q - W^T T^{-1} W is:
+
+      * S^{-1} >= Q^{-1}, so |k|_{S*} >= |k|_{Q*} for every k, in the dual
+        norms |k|_{X*}^2 = 4 pi^2 k^T X^{-1} k;
+      * so the shortest vector of S's dual lattice is at least rho_Q, and as
+        the Deconinck bound decreases in rho, Q's tail(R) bounds the terms
+        of S beyond S's ellipsoid of radius R;
+      * that ellipsoid lies inside Q's, so the k S omits (those outside
+        Q's ellipsoid) are fewer still;
+      * every S weight is at most its Q weight, so others_S <= others_Q
+        <= 1/2, and rel_S <= rel_Q <= eps.
+
+    Rounding.  In floats S <= Q holds only up to the rounding of
+    Q = S + W^T T^{-1} W (or of S = Q - W^T T^{-1} W), a few ulps of the
+    entries of Q and W^T T^{-1} W, so an omitted k has
+    |k|_{S*}^2 >= (1 - delta) |k|_{Q*}^2 with delta of order g u cond(Q),
+    u the unit roundoff.  That scales each omitted term by at most
+    exp(delta |k|_{Q*}^2 / 2), so their sum exceeds Q's tail(R) by at most
+    a relative delta (R^2 / 2 + g) to first order: a term outside Q's
+    ellipsoid is still covered, by a bound that is itself rounded.  The
+    radius solve aims 1e-9 (1 + |log eps|) inside its target (in log),
+    which absorbs that while delta stays below about 1e-10, cond(Q) up to
+    about 1e5; beyond, the bound is off by that relative amount of itself,
+    as any certificate computed from a rounded inverse is.  With W = 0 the
+    Schur pass subtracts zeros and S equals Q bit for bit; S and Q
+    factored from their matrices then give Q's own terms.
+    """
     quad = np.einsum("ij,jk,ik->i", half, form.inverse, half)
     weights = 2.0 * np.exp(-2.0 * math.pi**2 * quad)
     others = float(np.sum(weights)) + tail
     if others > 0.5:
         return None
-    return half, weights, tail / (1.0 - others)
+    return half, weights, tail, tail / (1.0 - others)
 
 
 #: Elements of one (rows x K) phase block of the dual series: 120 KB, under
@@ -391,13 +432,17 @@ def _dual_series(args, freq, phase0, weights):
 def _dual_batch(xs, form, eps, budget):
     """Poisson-dual theta_tilde_batch for real arguments over ``form``, or None.
 
-    None where ``_dual_terms`` is None; otherwise the (log_magnitude, phase,
-    tail_bound) arrays, with the tail bound a relative error below ``eps``.
+    None where ``_dual_terms`` is None; otherwise ``_dual_values``.
     """
     terms = _dual_terms(form, eps, budget)
-    if terms is None:
-        return None
-    half, weights, rel = terms
+    return None if terms is None else _dual_values(xs, form, terms)
+
+
+def _dual_values(xs, form, terms):
+    """The (log_magnitude, phase, tail_bound) arrays of the dual series of
+    ``form`` over ``terms`` at the real rows ``xs``; the tail bound is the
+    terms' relative error ``rel``."""
+    half, weights, _, rel = terms
     g = form.matrix.shape[0]
     log_mag = 0.5 * (g * _LOG_2PI - form.log_det) + 0.5 * _row_dots(xs, xs @ form.inverse)
     log_mag += _dual_series(xs, (2.0 * math.pi) * (form.inverse @ half.T), 0.0, weights)

@@ -251,6 +251,94 @@ class TestDualNormalizer:
         npt.assert_array_equal(fresh.log_pdf_visible(v), built.log_pdf_visible(v))
 
 
+def shared_kset_model(seed, nv, nh, kind, via_factors):
+    """Valid model for the shared k-set: S = 1/2 (G^T G + 0.5 I), so that Q's
+    dual mostly applies; ``kind`` "w0" sets W = 0 (S = Q) and "stiff_t" gives T
+    eigenvalues up to 1e6 apart.  ``via_factors`` builds it as ``train.decode``
+    does, from the factors of T and S, else from the matrices."""
+    rng = np.random.default_rng(seed)
+    s = 0.5 * random_pd_matrix(rng, nh, ridge=0.5)
+    s = 0.5 * (s + s.T)
+    if kind == "stiff_t":
+        rot, _ = np.linalg.qr(rng.normal(size=(nv, nv)))
+        t = rot @ np.diag(10.0 ** rng.uniform(0.0, 6.0, nv)) @ rot.T
+    else:
+        t = random_pd_matrix(rng, nv)
+    t = 0.5 * (t + t.T)
+    w = np.zeros((nv, nh)) if kind == "w0" else rng.normal(scale=0.7, size=(nv, nh))
+    bv, bh = rng.normal(scale=0.5, size=nv), rng.normal(scale=0.5, size=nh)
+    if via_factors:
+        return RtbmModel._from_factors(np.linalg.cholesky(t), np.linalg.cholesky(s), w, bv, bh)
+    q = s + w.T @ np.linalg.solve(t, w)
+    return RtbmModel(t, 0.5 * (q + q.T), w, bv, bh)
+
+
+def others(terms):
+    """The k != 0 mass (enumerated weights plus tail) of dual terms."""
+    return float(np.sum(terms[1])) + terms[2]
+
+
+class TestSharedKSet:
+    """theta_b over S from the k-set of Q's dual numerator (``theta._reweigh``)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 3),
+        st.sampled_from(["random", "w0", "stiff_t"]), st.booleans(),
+        st.sampled_from([1e-8, 1e-12]),
+    )
+    def test_log_norm_against_brute_force_and_own_k_set(self, seed, nv, nh, kind, via_factors, eps):
+        m = shared_kset_model(seed, nv, nh, kind, via_factors)
+        m.validate()
+        q_terms = m._q_terms(eps, lattice.POINT_BUDGET)
+        assume(q_terms is not None)
+        sc = m.schur()
+        terms = theta._reweigh(q_terms[0], q_terms[2], sc.form)
+        assert terms is not None and terms[3] <= eps
+        assert others(terms) <= others(q_terms) <= 0.5
+        if kind == "w0":
+            npt.assert_array_equal(sc.form.matrix, m._form("q").matrix)
+            if not via_factors:  # S and Q factored alike: Q's own weights
+                npt.assert_array_equal(terms[1], q_terms[1])
+        log_norm = m._log_norm(eps, lattice.POINT_BUDGET)
+        assert ("hidden", eps, lattice.POINT_BUDGET) not in m._cache
+        lam_min = np.linalg.eigvalsh(sc.form.matrix)[0]
+        center = np.linalg.solve(sc.form.matrix, -sc.bias)
+        half = int(np.max(np.abs(center)) + np.sqrt(100.0 / lam_min)) + 2
+        exact = brute_force_theta(-sc.bias, sc.form.matrix, half=half)[0]
+        # log_norm bounds log theta_b from above, by at most its certified
+        # relative error (up to eps), plus the box sum's rounding
+        assert exact - 1e-12 <= log_norm <= exact + 2.0 * eps + 1e-10
+        own = theta._dual_batch(-sc.bias[None, :], sc.form, eps, lattice.POINT_BUDGET)
+        assert own is not None
+        assert abs(log_norm - (own[0][0] + math.log1p(own[2][0]))) <= 2.0 * eps
+
+    def test_fresh_candidate_builds_one_k_set(self, monkeypatch):
+        data = np.random.default_rng(12).gamma(7.5, 1.0, 500)
+        vec = train._initial_vector(data.reshape(-1, 1), 1, 2, np.random.default_rng(11))
+        twin = train.decode(vec, 1, 2)
+        for form in (twin._form("q"), twin.schur().form):
+            assert theta._dual_terms(form, train.TRAIN_EPS, train.TRAIN_POINT_BUDGET) is not None
+        cand = train.decode(vec, 1, 2)
+        calls = []
+        for module, name in ((theta, "_dual_terms"), (lattice, "enumerate_ellipsoid")):
+            def counting(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        nll = train.negative_log_likelihood(cand, data, train.TRAIN_EPS, train.TRAIN_POINT_BUDGET)
+        assert calls == ["_dual_terms", "enumerate_ellipsoid"]
+        assert nll == train.negative_log_likelihood(twin, data, train.TRAIN_EPS, train.TRAIN_POINT_BUDGET)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_failed_q_factor_left_to_validate(self, bad):
+        m = RtbmModel._from_factors(np.eye(1), np.array([[bad]]), np.ones((1, 1)), [0.0], [0.0])
+        with pytest.raises(InvalidModel, match="q is not finite"):
+            m.validate()
+        assert not m.is_valid()
+
+
 def numerator_log_pdf(m, v, eps=1e-12):
     """log P(v) as the Gaussian prefactor times a theta batch over Q: the
     numerator theta_tilde(v W + B_h | Q) from ``theta_tilde_batch``."""

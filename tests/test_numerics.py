@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from rtbm import lattice, numerics
 from rtbm.errors import NotPositiveDefinite, NotSymmetric, RankDeficient
@@ -46,6 +47,22 @@ class TestCholesky:
             m = random_pd_matrix(rng, int(rng.integers(1, 7)), ridge=0.1)
             low = numerics.cholesky(m)
             npt.assert_allclose(low @ low.T, 0.5 * (m + m.T), rtol=1e-10, atol=1e-12)
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            m = random_pd_matrix(rng, int(rng.integers(1, 7)), ridge=float(rng.uniform(1e-3, 2.0)))
+            m = 0.5 * (m + m.T)
+            for arr in (m, np.asfortranarray(m)):
+                npt.assert_array_equal(numerics.cholesky(arr), scipy.linalg.cholesky(m, lower=True))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        m = np.eye(2)
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            numerics.cholesky(m)
 
 
 class TestInverse:

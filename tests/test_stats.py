@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -120,6 +122,19 @@ class TestCentralMoments:
 
     def test_two_point_sample(self):
         npt.assert_allclose(stats.central_moments([-1.0, 1.0]), (0.0, 1.0, 0.0, 1.0))
+
+    def test_against_exact_rational_moments(self):
+        rng = np.random.default_rng(8)
+        for x in (rng.normal(2.0, 3.0, 60), rng.gamma(2.0, 1.0, 97), rng.standard_cauchy(40)):
+            exact = [Fraction(float(v)) for v in x]
+            mean = sum(exact) / len(exact)
+            want = [mean] + [sum((v - mean) ** p for v in exact) / len(exact) for p in (2, 3, 4)]
+            got = stats.central_moments(x)
+            sd = float(want[1]) ** 0.5
+            # mu3 relative to sd^3, as it may nearly cancel; the mean to sd
+            scale = [max(abs(float(want[0])), sd), want[1], sd**3, want[3]]
+            for g, w, sc in zip(got, want, scale):
+                assert abs(g - float(w)) <= 1e-13 * float(sc)
 
     def test_power_mean_inequality(self):
         rng = np.random.default_rng(5)

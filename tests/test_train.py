@@ -45,9 +45,9 @@ class TestFactorHandOff:
     """decode hands its factors of T and S to the model."""
 
     def test_one_evaluation_factors_once(self, monkeypatch):
-        # one factor for Q (validate and the numerator batch share its Form);
-        # T and S arrive from decode, and the dual forms of S and Q reuse
-        # their primal factors' inverses
+        # no factorization through numerics.cholesky: T and S arrive from
+        # decode, Q's Form is seeded by decode's one dpotrf, and the dual
+        # forms of S and Q reuse their primal factors' inverses
         calls = []
 
         def counting(m, name="matrix", _inner=numerics.cholesky):
@@ -69,7 +69,7 @@ class TestFactorHandOff:
                 cand, data, train.TRAIN_EPS, budget=train.TRAIN_POINT_BUDGET
             )
             assert np.isfinite(nll)
-            assert len(calls) <= 1, calls
+            assert calls == []
             scored += 1
         assert scored >= 10
 
@@ -87,6 +87,11 @@ class TestFactorHandOff:
             ]
             for got, want in pairs:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            # Q's Form is seeded by one dpotrf, bit for bit the fresh factor
+            assert ("form", "q") in m._cache
+            for f in ("matrix", "low"):
+                npt.assert_array_equal(getattr(m._form("q"), f), getattr(fresh._form("q"), f))
+            assert m.validate()["q"] == fresh.validate()["q"]
 
 
 class TestNegativeLogLikelihood:
