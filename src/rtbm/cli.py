@@ -191,15 +191,16 @@ def _cmd_train(args):
         raise _CliError(EXIT_USAGE, f"--nh must be >= 1, got {args.nh}")
     if data.shape[0] < 10:
         raise _CliError(EXIT_USAGE, f"need at least 10 samples, got {data.shape[0]}")
-    if args.population is not None and args.population < 4:
-        raise _CliError(EXIT_USAGE, f"--population must be >= 4, got {args.population}")
-    config = train.TrainConfig(
-        sigma0=args.sigma0,
-        max_evals=args.max_evals,
-        restarts=args.restarts,
-        seed=args.seed,
-        population=args.population,
-    )
+    try:
+        config = train.TrainConfig(
+            sigma0=args.sigma0,
+            max_evals=args.max_evals,
+            restarts=args.restarts,
+            seed=args.seed,
+            population=args.population,
+        )
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, f"bad optimizer setting: {exc}")
     try:
         result = train.fit(data, args.nh, config)
     except RtbmError as exc:

@@ -170,6 +170,27 @@ def shortest_vector_estimate(basis):
     return math.sqrt(float(((box @ gram) * box).sum(axis=1).min(initial=rho_sq)))
 
 
+class _derived:
+    """``functools.cached_property`` without its lock.
+
+    Before Python 3.12 the first read of a cached_property takes a lock
+    shared by every instance, about a microsecond, and each fresh training
+    candidate reads eight of them.  A Form is not shared between threads
+    while it is being derived, and a race would only derive a value twice.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Form:
     """A positive definite matrix Omega and everything derived from it.
 
@@ -179,7 +200,8 @@ class Form:
     4 pi^2 Omega^{-1} in reversed coordinates, factored from L^{-1}) are
     computed on first use and kept, so a Form is factored at most once.  A
     given ``low`` is trusted, and ``matrix`` with it.  Both arrays are
-    read-only.
+    read-only.  ``memo`` keeps what other modules derive from the Form under
+    their own keys: ``theta`` keeps its dual k-sets there.
     """
 
     def __init__(self, matrix, low=None, name="omega"):
@@ -191,15 +213,17 @@ class Form:
             arr.setflags(write=False)
         self.matrix = matrix
         self.low = low
+        self.memo = {}
 
     @classmethod
     def of(cls, omega, name="omega"):
         """``omega`` itself when it is a Form, else the Form of that matrix."""
         return omega if isinstance(omega, cls) else cls(omega, name=name)
 
-    @functools.cached_property
+    @_derived
     def log_det(self):
-        return 2.0 * float(np.sum(np.log(np.diag(self.low))))
+        """log det Omega = 2 sum_i log L_ii, on Python floats (g is tiny)."""
+        return 2.0 * sum(map(math.log, self.low.diagonal().tolist()))
 
     def solve(self, b):
         """Omega^{-1} b, column by column for a matrix ``b``.
@@ -213,7 +237,7 @@ class Form:
             raise ValueError(f"dpotrs argument {-info} is invalid")
         return x
 
-    @functools.cached_property
+    @_derived
     def low_inv(self):
         """L^{-1}, by one triangular inverse (LAPACK dtrtri, no input checks)."""
         low_inv, info = scipy.linalg.lapack.dtrtri(self.low, lower=1)
@@ -221,17 +245,17 @@ class Form:
             raise DegenerateBasis(f"singular factor (dtrtri info {info})")
         return low_inv
 
-    @functools.cached_property
+    @_derived
     def inverse(self):
         """Omega^{-1} = L^{-T} L^{-1}, symmetrized."""
         inv = self.low_inv.T @ self.low_inv
         return 0.5 * (inv + inv.T)
 
-    @functools.cached_property
+    @_derived
     def rho(self):
         return shortest_vector_estimate(self.low)
 
-    @functools.cached_property
+    @_derived
     def dual(self):
         """The Form of J 4 pi^2 Omega^{-1} J, J reversing the coordinates.
 
@@ -247,7 +271,7 @@ class Form:
         return Form(matrix, low=low, name="dual form")
 
 
-def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
+def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET, half=False):
     """All integer points n with (n - center)^T Omega (n - center) <= radius^2.
 
     ``form`` is Omega or its ``Form``.  With Omega = L L^T, the last
@@ -256,8 +280,16 @@ def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
     contiguous integer range.  Returns the (N, g) integer array of exactly
     the solution set (exhaustive, distinct, in no promised order).
 
+    ``half`` asks, for center 0, for one point of each pair +-n != 0: the
+    one whose last nonzero coordinate, the outermost one the recursion
+    fixes, is positive.  The recursion then skips the negative branches, as
+    the set is symmetric bit for bit (negating a point negates every shift
+    and step exactly).  The budget still counts the whole ellipsoid, 2 N + 1
+    points, so the half set raises exactly where the full one would.
+
     Raises PointBudgetExceeded when the count passes ``budget``, and
-    ValueError unless the radius is positive and finite and the center finite.
+    ValueError unless the radius is positive and finite and the center finite
+    (and 0 for ``half``).
     """
     form = Form.of(form, "form")
     center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -266,25 +298,35 @@ def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
         raise ValueError(f"center must have shape ({g},), got {center.shape}")
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if not np.isfinite(center).all():
+    c = center.tolist()
+    if not all(map(math.isfinite, c)):
         raise ValueError(f"center must be finite, got {center}")
+    if half and any(c):
+        raise ValueError(f"a half set needs center 0, got {center}")
+    limit = budget
+    if half:  # its N points stand for 2 N + 1, the origin always among them
+        limit = (budget - 1) // 2
+        if limit < 0:
+            raise PointBudgetExceeded(f"ellipsoid enumeration passed {budget} points")
     # (n-c)^T Omega (n-c) = ||L^T (n-c)||^2, and row i of L is column i of
     # L^T; the recursion runs on Python floats (see the module docstring).
     low = form.low.tolist()
     heads = [row[:i] for i, row in enumerate(low)]  # U[:i, i] of each level i
-    c = center.tolist()
     ranges = []  # per innermost range: lo minus the points before it, n_1..n_{g-1}
     sizes = []
     count = 0
     prefix = [0] * g  # prefix[0] holds the range's lo minus the running count
 
-    def recurse(i, budget_sq, shift):
-        # shift[j] = sum_{l > i} U[j, l] (n_l - c_l) for j <= i, U = L^T
+    def recurse(i, budget_sq, shift, outer_zero):
+        # shift[j] = sum_{l > i} U[j, l] (n_l - c_l) for j <= i, U = L^T;
+        # outer_zero: a half set whose coordinates above i are all 0
         nonlocal count
         u_ii = low[i][i]
-        half = math.sqrt(budget_sq) if budget_sq > 0.0 else 0.0
-        lo = math.ceil(c[i] + (-half - shift[i]) / u_ii)
-        hi = math.floor(c[i] + (half - shift[i]) / u_ii)
+        reach = math.sqrt(budget_sq) if budget_sq > 0.0 else 0.0
+        lo = math.ceil(c[i] + (-reach - shift[i]) / u_ii)
+        hi = math.floor(c[i] + (reach - shift[i]) / u_ii)
+        if outer_zero:  # n_i > 0, or n_i = 0 and the rest of a half set below
+            lo = max(lo, 1 if i == 0 else 0)
         if hi < lo:
             return
         if i == 0:
@@ -292,7 +334,7 @@ def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
             ranges.extend(prefix)
             sizes.append(hi + 1 - lo)
             count += sizes[-1]
-            if count > budget:
+            if count > limit:
                 raise PointBudgetExceeded(
                     f"ellipsoid enumeration passed {budget} points"
                 )
@@ -304,18 +346,19 @@ def enumerate_ellipsoid(form, center, radius, budget=POINT_BUDGET):
             rest = budget_sq - step * step
             if rest < 0.0:
                 continue
-            recurse(i - 1, rest, [s + u * d for s, u in zip(shift, heads[i])])
+            recurse(i - 1, rest, [s + u * d for s, u in zip(shift, heads[i])],
+                    outer_zero and n_i == 0)
 
     # Recurse with a hair of slack, then filter on the exact quadratic
     # predicate, so boundary membership is decided by one code path only.
     r_sq = radius * radius
-    recurse(g - 1, r_sq * (1.0 + 1e-12) + 1e-300, [0.0] * g)
+    recurse(g - 1, r_sq * (1.0 + 1e-12) + 1e-300, [0.0] * g, half)
     if not sizes:
         return np.empty((0, g), dtype=np.int64)
     # One column per point, repeated from its range's entry; adding the
     # running index turns the first row into the range itself.
     table = np.array(ranges, dtype=np.int64).reshape(-1, g).T
-    pts = np.repeat(table, sizes, axis=1)
+    pts = table.repeat(sizes, axis=1)
     pts[0] += np.arange(count)
     pts = pts.T
     diff = pts - center

@@ -360,24 +360,25 @@ class RtbmModel:
         complement S = Q - W^T T^{-1} W.  Non-finite parameters are reported
         before anything is factored.
         """
+        # the arrays are tiny: Python floats cost less than numpy calls
         violations = [
             f"{name} is not finite"
             for name in ("t", "q", "w", "bv", "bh")
-            if not np.isfinite(getattr(self, name)).all()
+            if not all(map(math.isfinite, getattr(self, name).ravel().tolist()))
         ]
         if violations:
             raise InvalidModel(violations)
         margins = {}
         for name in ("t", "q"):
             try:
-                margins[name] = float(self._form(name).low.diagonal().min())
+                margins[name] = min(self._form(name).low.diagonal().tolist())
             except NotSymmetric:
                 violations.append(f"{name} is not symmetric")
             except NotPositiveDefinite:
                 violations.append(f"{name} is not positive definite")
         if "t" in margins:
             try:
-                margins["s"] = float(self.schur().form.low.diagonal().min())
+                margins["s"] = min(self.schur().form.low.diagonal().tolist())
             except (NotPositiveDefinite, NotSymmetric):
                 violations.append(
                     "schur complement q - w^T t^{-1} w is not positive definite"
@@ -482,12 +483,10 @@ class RtbmModel:
         return self._cache[key]
 
     def _q_terms(self, eps, budget):
-        """Q's dual k-set (``theta._dual_terms`` of Q's Form), cached per
-        (epsilon, budget); None where Q's dual form does not apply."""
-        key = ("q terms", eps, budget)
-        if key not in self._cache:
-            self._cache[key] = theta._dual_terms(self._form("q"), eps, budget)
-        return self._cache[key]
+        """Q's dual k-set (``theta._dual_terms`` of Q's Form), kept on that
+        Form per (epsilon, budget), so a primal numerator batch over Q reads
+        the same verdict; None where Q's dual form does not apply."""
+        return theta._kept_dual_terms(self._form("q"), eps, budget)
 
     def _log_norm(self, eps, budget=lattice.POINT_BUDGET):
         """log theta_b for the densities, one cached value per (epsilon, budget).
@@ -495,11 +494,14 @@ class RtbmModel:
         The dual form at -b_h over S, log V + log1p(r): the dual sum V is
         within relative error r of theta_b (its k != 0 mass is at most 1/2),
         so V (1 + r) bounds theta_b from above, as the primal
-        log(reduced + tail) does.  Where Q's dual applies, V sums Q's k-set
-        (``_q_terms``, which the density plan reads too) re-weighed by S
-        (``theta._reweigh``, whose docstring gives the certificate), so S's
-        own k-set is never built.  Otherwise S's own (``theta._dual_terms``),
-        and where that does not apply either, the point set's ``log_norm``.
+        log(reduced + tail) does.  It is one scalar, with u = S^{-1} b_h:
+        1/2 (nh log 2 pi - log det S + b_h^T u)
+        + log1p(sum_k w_k cos(2 pi k^T u)) + log1p(r).  Where Q's dual
+        applies, V sums Q's k-set (``_q_terms``, which the density plan
+        reads too) re-weighed by S (``theta._reweigh``, whose docstring
+        gives the certificate), so S's own k-set is never built.  Otherwise
+        S's own (``theta._dual_terms``), and where that does not apply
+        either, the point set's ``log_norm``.
         The choice depends only on the model, not on whether
         ``hidden_params`` has run, so log P(v) does not either.
         """
@@ -513,8 +515,14 @@ class RtbmModel:
             if terms is None:
                 self._cache[key] = self.hidden_params(eps, budget).log_norm
             else:
-                log_mag, _, rel = theta._dual_values(-sc.bias[None, :], sc.form, terms)
-                self._cache[key] = float(log_mag[0]) + math.log1p(float(rel[0]))
+                half, weights, _, rel = terms
+                form = sc.form
+                u = form.solve(sc.bias)  # S^{-1} b_h; the series is even in b_h
+                series = float(np.cos((2.0 * math.pi) * (half @ u)) @ weights)
+                self._cache[key] = (
+                    0.5 * (self.nh * _LOG_2PI - form.log_det + float(sc.bias @ u))
+                    + math.log1p(series) + math.log1p(rel)
+                )
         return self._cache[key]
 
     def _density(self, eps, budget=lattice.POINT_BUDGET):

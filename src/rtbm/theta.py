@@ -78,15 +78,19 @@ returned bound tail / (1 - others) <= eps is then a relative error bound,
 as for the primal sum at real z.  Otherwise the primal sum runs.
 
 ``_dual_terms`` is the one place that builds a dual k-set: it applies the
-guards, solves the radius, enumerates the k-set and keeps one k of each
-pair +-k with its doubled weight, and returns the half-set, the weights,
-the tail and the relative bound, or None.  ``_reweigh`` weighs it, and is
-its only other consumer: it re-weighs a k-set built for Q for a form
-S <= Q, whose sum Q's k-set and tail also certify (see ``_reweigh``), so the
-model's hidden normalizer over S reads the k-set of its numerator over Q.
-``_dual_series`` is the one evaluator of the series,
-log1p(cos(args @ freq + phase0) @ weights), in blocks of rows that stay on
-the heap.  ``_dual_values`` calls it with args = x,
+guards, solves the radius and enumerates one k of each pair +-k directly,
+in the enumerator's half-set mode (the set is symmetric about its center
+0, and the budget still counts the whole of it), and returns the half-set,
+the weights (each pair counted twice), the tail and the relative bound, or
+None.  ``_kept_dual_terms`` keeps that result, None included, on the Form
+per (eps, budget): the model's numerator, its normalizer and a primal batch
+over the same Form read one verdict and build the k-set at most once.
+``_reweigh`` weighs a k-set, and is its only other consumer: it re-weighs a
+k-set built for Q for a form S <= Q, whose sum Q's k-set and tail also
+certify (see ``_reweigh``), so the model's hidden normalizer over S reads
+the k-set of its numerator over Q.  ``_dual_series`` is the one evaluator
+of the series, log1p(cos(args @ freq + phase0) @ weights), in blocks of
+rows that stay on the heap.  ``_dual_batch`` calls it with args = x,
 freq = 2 pi Omega^{-1} k and phase0 = 0; the model's density plan calls it
 with args = v, its phases being affine in v (see ``rtbm.model``).
 """
@@ -340,7 +344,8 @@ def _dual_terms(form, eps, budget):
     ``rel`` = tail / (1 - others) the certified relative error of the dual
     sum (see the module docstring).  None means the dual form does not
     apply: det Omega >= (2 pi)^g, or the k != 0 mass (enumerated weights
-    plus tail) exceeds 1/2, or the dual ellipsoid passes ``budget``.
+    plus tail) exceeds 1/2, or the dual ellipsoid passes ``budget`` (all
+    of it, although only half of it is enumerated).
     """
     g = form.matrix.shape[0]
     if form.log_det >= g * _LOG_2PI:
@@ -352,20 +357,29 @@ def _dual_terms(form, eps, budget):
     radius = bound.solve_radius(math.log(0.5 * eps))
     tail = math.exp(bound.log_bound(radius))
     try:
-        ks = lattice.enumerate_ellipsoid(form.dual, np.zeros(g), radius, budget=budget)
+        ks = lattice.enumerate_ellipsoid(form.dual, np.zeros(g), radius, budget=budget, half=True)
     except PointBudgetExceeded:
         return None
-    ks = ks[:, ::-1]  # the dual Form is in reversed coordinates
-    # one k of each pair +-k: the first nonzero coordinate positive
-    lead = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
-    return _reweigh(ks[lead > 0].astype(float), tail, form)
+    # the dual Form is in reversed coordinates: its half set keeps the k
+    # whose first nonzero coordinate is positive
+    return _reweigh(np.array(ks[:, ::-1], dtype=float), tail, form)
+
+
+def _kept_dual_terms(form, eps, budget):
+    """``_dual_terms`` of ``form``, built once per (eps, budget) and kept in
+    the Form's ``memo``, a None verdict included."""
+    key = ("dual terms", eps, budget)
+    if key not in form.memo:
+        form.memo[key] = _dual_terms(form, eps, budget)
+    return form.memo[key]
 
 
 def _reweigh(half, tail, form):
     """The dual terms of ``form`` over a half k-set certified with ``tail``.
 
     Returns (half, weights, tail, rel) as ``_dual_terms`` does, with the
-    weights 2 exp(-2 pi^2 k^T Omega^{-1} k) of ``form`` and
+    weights 2 exp(-2 pi^2 k^T Omega^{-1} k) of ``form`` (k^T Omega^{-1} k
+    as |L^{-1} k|^2, from the factor's inverse) and
     rel = tail / (1 - others), or None when others > 1/2.  ``_dual_terms``
     weighs its own k-set here.  A k-set built for Q also serves any form
     S <= Q, as the model's Schur complement S = Q - W^T T^{-1} W is:
@@ -395,9 +409,9 @@ def _reweigh(half, tail, form):
     Schur pass subtracts zeros and S equals Q bit for bit; S and Q
     factored from their matrices then give Q's own terms.
     """
-    quad = np.einsum("ij,jk,ik->i", half, form.inverse, half)
-    weights = 2.0 * np.exp(-2.0 * math.pi**2 * quad)
-    others = float(np.sum(weights)) + tail
+    y = half @ form.low_inv.T  # rows L^{-1} k: |y|^2 = k^T Omega^{-1} k
+    weights = 2.0 * np.exp(-2.0 * math.pi**2 * _row_dots(y, y))
+    others = float(weights.sum()) + tail
     if others > 0.5:
         return None
     return half, weights, tail, tail / (1.0 - others)
@@ -432,16 +446,15 @@ def _dual_series(args, freq, phase0, weights):
 def _dual_batch(xs, form, eps, budget):
     """Poisson-dual theta_tilde_batch for real arguments over ``form``, or None.
 
-    None where ``_dual_terms`` is None; otherwise ``_dual_values``.
+    None where the Form's kept ``_dual_terms`` are None, so a Form that
+    failed the guards once is not enumerated again before its primal sum.
+    Otherwise the (log_magnitude, phase, tail_bound) arrays of the dual
+    series at the real rows ``xs``; the tail bound is the terms' relative
+    error ``rel``.
     """
-    terms = _dual_terms(form, eps, budget)
-    return None if terms is None else _dual_values(xs, form, terms)
-
-
-def _dual_values(xs, form, terms):
-    """The (log_magnitude, phase, tail_bound) arrays of the dual series of
-    ``form`` over ``terms`` at the real rows ``xs``; the tail bound is the
-    terms' relative error ``rel``."""
+    terms = _kept_dual_terms(form, eps, budget)
+    if terms is None:
+        return None
     half, weights, _, rel = terms
     g = form.matrix.shape[0]
     log_mag = 0.5 * (g * _LOG_2PI - form.log_det) + 0.5 * _row_dots(xs, xs @ form.inverse)

@@ -134,7 +134,13 @@ class TestTrainCommand:
         nlls = json.loads(out.read_text())["metadata"]["restart_nlls"]
         assert len(nlls) == 2 and all(np.isfinite(nlls))
 
-    @pytest.mark.parametrize("flags", [["--population", "2"], ["--population", "0"]])
+    @pytest.mark.parametrize("flags", [
+        ["--population", "2"], ["--population", "0"],
+        # each of these used to return the starting model with exit 0
+        ["--sigma0", "0"], ["--sigma0", "-1"], ["--sigma0", "nan"],
+        ["--max-evals", "0"], ["--max-evals", "-5"],
+        ["--restarts", "0"], ["--restarts", "-3"],
+    ])
     def test_bad_optimizer_flags_exit_2(self, tmp_path, data_path, flags):
         out = tmp_path / "fit.json"
         rc = main(["train", "--data", data_path, "--nh", "1", "--out", str(out),

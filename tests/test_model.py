@@ -339,6 +339,33 @@ class TestSharedKSet:
         assert not m.is_valid()
 
 
+class TestKeptDualTerms:
+    def test_guard_failing_q_is_enumerated_once(self, monkeypatch):
+        # Q = diag(12, 12, 1) has det Q < (2 pi)^3, but its dual k-set breaks
+        # the others <= 1/2 guard (see test_theta's primal fallback), so the
+        # numerator is a primal batch over Q
+        w = np.array([[0.5, 0.5, 0.2]])
+        m = RtbmModel([[1.0]], np.diag([12.0, 12.0, 1.0]), w, [0.3], [0.1, -0.2, 0.3])
+        q_form = m._form("q")
+        forms = []
+
+        def counting(form, *args, _inner=lattice.enumerate_ellipsoid, **kwargs):
+            forms.append(form)
+            return _inner(form, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "enumerate_ellipsoid", counting)
+        v = np.linspace(-3.0, 3.0, 7)[:, None]
+        first = m.log_pdf_visible(v)
+        assert m._q_terms(1e-12, lattice.POINT_BUDGET) is None
+        # Q's dual k-set is built once, for the verdict the batch then reads
+        assert sum(f is q_form.dual for f in forms) == 1
+        assert np.all(np.abs(first - brute_force_log_pdf_visible(m, v)) <= 1e-10)
+        for _ in range(2):
+            forms.clear()
+            npt.assert_array_equal(m.log_pdf_visible(v), first)
+            assert len(forms) == 1 and forms[0] is q_form  # the numerator's base set
+
+
 def numerator_log_pdf(m, v, eps=1e-12):
     """log P(v) as the Gaussian prefactor times a theta batch over Q: the
     numerator theta_tilde(v W + B_h | Q) from ``theta_tilde_batch``."""

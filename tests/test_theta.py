@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rtbm import lattice, theta
-from rtbm.errors import NotPositiveDefinite
+from rtbm.errors import NotPositiveDefinite, PointBudgetExceeded
 from rtbm.model import RtbmModel
 
 from conftest import brute_force_ellipsoid, brute_force_theta, random_pd_matrix
@@ -369,6 +369,65 @@ class TestThetaBatchDual:
         for i in range(xs.shape[0]):
             assert abs(log_mag[i] - _box_reference(xs[i], omega)) < 1e-10
         assert np.all(tail <= 1e-12)
+
+
+def _last_nonzero(points):
+    """Each row's last nonzero coordinate (0 for the origin)."""
+    g = points.shape[1]
+    return points[np.arange(points.shape[0]), g - 1 - np.argmax(points[:, ::-1] != 0, axis=1)]
+
+
+def _raises_budget(*args, **kwargs):
+    try:
+        lattice.enumerate_ellipsoid(*args, **kwargs)
+    except PointBudgetExceeded:
+        return True
+    return False
+
+
+class TestHalfKSet:
+    """The enumerator's half-set mode, from which ``_dual_terms`` takes its k-set."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ill_conditioned_forms(), st.floats(0.5, 3.0))
+    def test_half_set_is_the_pm_filter_of_the_full_set(self, case, shells):
+        g, omega, _ = case
+        dual = lattice.Form(omega).dual
+        zero = np.zeros(g)
+        radius = shells * dual.rho
+        full = lattice.enumerate_ellipsoid(dual, zero, radius)
+        half = lattice.enumerate_ellipsoid(dual, zero, radius, half=True)
+        # one point of each pair +-n: the one whose last nonzero coordinate,
+        # the recursion's outermost, is positive, in the full set's order
+        npt.assert_array_equal(half, full[_last_nonzero(full) > 0])
+        assert full.shape[0] == 2 * half.shape[0] + 1
+        # the budget counts the whole set: both modes raise at the same budgets
+        for budget in (0, full.shape[0] - 1, full.shape[0]):
+            assert _raises_budget(dual, zero, radius, budget=budget, half=True) == _raises_budget(
+                dual, zero, radius, budget=budget)
+        assert _raises_budget(dual, zero, radius, budget=full.shape[0] - 1, half=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ill_conditioned_forms(), st.sampled_from([1e-4, 1e-8, 1e-12]))
+    def test_dual_terms_take_the_half_set(self, case, eps):
+        g, omega, _ = case
+        form = lattice.Form(omega)
+        terms = theta._dual_terms(form, eps, lattice.POINT_BUDGET)
+        assume(terms is not None)
+        # the same k-set from the full enumeration: the dual ellipsoid,
+        # flipped out of the dual's reversed coordinates, first nonzero
+        # coordinate positive
+        radius = theta._TailBound(g, form.dual.rho).solve_radius(math.log(0.5 * eps))
+        ks = lattice.enumerate_ellipsoid(form.dual, np.zeros(g), radius)[:, ::-1]
+        lead = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
+        npt.assert_array_equal(terms[0], ks[lead > 0].astype(float))
+        # passing the budget still gives None, counted over the whole k-set
+        assert theta._dual_terms(form, eps, ks.shape[0] - 1) is None
+        assert theta._dual_terms(form, eps, ks.shape[0]) is not None
+
+    def test_half_set_needs_center_zero(self):
+        with pytest.raises(ValueError, match="center 0"):
+            lattice.enumerate_ellipsoid(np.eye(2), [0.0, 0.5], 2.0, half=True)
 
 
 @st.composite

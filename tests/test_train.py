@@ -228,6 +228,27 @@ class TestFit:
         with pytest.raises(ValueError):
             train.fit(np.zeros(100), 0, TrainConfig())
 
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma0_must_be_positive_and_finite(self, sigma0):
+        with pytest.raises(ValueError, match="sigma0"):
+            TrainConfig(sigma0=sigma0)
+
+    @pytest.mark.parametrize("max_evals", [0, -5])
+    def test_max_evals_must_be_positive(self, max_evals):
+        with pytest.raises(ValueError, match="max_evals"):
+            TrainConfig(max_evals=max_evals)
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_must_be_positive(self, restarts):
+        # before, restarts < 1 ran one restart
+        with pytest.raises(ValueError, match="restarts"):
+            TrainConfig(restarts=restarts)
+
+    @pytest.mark.parametrize("tol_window", [0, -1])
+    def test_tol_window_must_be_positive(self, tol_window):
+        with pytest.raises(ValueError, match="tol_window"):
+            TrainConfig(tol_window=tol_window)
+
     @pytest.mark.parametrize("population", [0, 3, -1])
     def test_population_below_four_rejected(self, population):
         with pytest.raises(ValueError, match="population"):
@@ -237,3 +258,30 @@ class TestFit:
 
     def test_population_default(self):
         assert TrainConfig().resolve_population(5) == 4 + int(3 * np.log(5))
+
+
+class TestPreCheckPlacement:
+    def test_precheck_runs_exactly_where_q_has_no_dual_k_set(self, monkeypatch):
+        # Q's dual k-set certifies both theta sums, so the primal point-count
+        # pre-check runs only on candidates without one
+        data = np.random.default_rng(5).gamma(7.5, 1.0, 300)
+        decoded, checked = [], []
+
+        def spy_decode(*args, _inner=train.decode):
+            decoded.append(_inner(*args))
+            return decoded[-1]
+
+        def spy_precheck(m, *args, _inner=train._too_many_points, **kwargs):
+            checked.append(m)
+            return _inner(m, *args, **kwargs)
+
+        monkeypatch.setattr(train, "decode", spy_decode)
+        monkeypatch.setattr(train, "_too_many_points", spy_precheck)
+        cfg = TrainConfig(max_evals=97, population=24, sigma0=0.5, restarts=1, seed=1)
+        train.fit(data, 2, cfg)
+        scored = decoded[:-1]  # the last decode rebuilds the winner
+        key = (train.TRAIN_EPS, train.TRAIN_POINT_BUDGET)
+        primal = [m for m in scored if m._q_terms(*key) is None]
+        assert 0 < len(primal) < len(scored)
+        assert len(checked) == len(primal)
+        assert all(a is b for a, b in zip(checked, primal))
